@@ -5,8 +5,8 @@
 ///  - MAP operator kernels (bind, rotate, Hamming) across dimensions;
 ///  - record encoding: bit-sliced column accumulation vs. the naive
 ///    per-element reference (the encoder hot-loop ablation), and the
-///    batch-first pipeline: scratch-reusing encode_batch with the fused
-///    add_xor kernel, with and without the N x M BoundProductCache;
+///    batch-first pipeline: scratch-reusing encode_batch through the
+///    column_counts kernel, with and without the N x M BoundProductCache;
 ///  - Eq. 9 feature materialization cost vs. the number of key layers;
 ///  - the feature attack's full-distance vs. restricted-index criterion
 ///    (the attack-cost ablation);
@@ -14,10 +14,11 @@
 ///  - batched serving: api::InferenceSession at 1/2/4 threads vs. the old
 ///    per-row predict loop (real time, since the point is wall-clock
 ///    throughput of the partitioned batch), cache off and on;
-///  - the kernel-backend comparison: xor/popcount/hamming word kernels and
-///    the full batch encode, once per backend available on this host
-///    (BM_Backend*/portable vs /avx2 vs /avx512), registered dynamically so
-///    the same binary reports whatever the hardware offers.
+///  - the kernel-backend comparison: xor/popcount/hamming word kernels, the
+///    full batch encode, and binary and non-binary predict, once per backend
+///    available on this host (BM_Backend*/portable vs /avx2 vs /avx512),
+///    registered dynamically so the same binary reports whatever the
+///    hardware offers.
 ///
 /// Beyond google-benchmark's own flags, main() accepts:
 ///   --smoke       one tiny timing window per benchmark — CI's sanitizer job
@@ -159,7 +160,7 @@ void BM_EncodeReference(benchmark::State& state) {
 BENCHMARK(BM_EncodeReference)->Arg(64)->Arg(256)->Arg(784);
 
 /// Batch-first encoding: scratch reused across rows, XOR fused into the
-/// counter (ColumnCounter::add_xor), zero per-row allocations.  Compare
+/// column_counts kernel, zero per-row allocations.  Compare
 /// items/s against BM_EncodeBitsliced (the per-row API) for the pipeline
 /// win, and against BM_EncodeBatchCached for the product-cache win.
 void BM_EncodeBatch(benchmark::State& state) {
@@ -845,6 +846,59 @@ void BM_FusedPredict(benchmark::State& state, kernels::Backend kind, bool fused)
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 
+/// Non-binary serving pinned to one backend at the ISOLET shape (N = 617,
+/// 26 classes, D = 10000): encode_into + cosine predict(IntHV), the two-step
+/// path non-binary sessions serve every row through.
+struct NonBinaryPredictFixture {
+    std::unique_ptr<const hdc::RecordEncoder> encoder;
+    hdc::HdcModel model;
+    std::vector<int> levels;
+
+    NonBinaryPredictFixture() {
+        hdc::ItemMemoryConfig config;
+        config.dim = 10000;
+        config.n_features = 617;
+        config.n_levels = 16;
+        config.seed = 611;
+        encoder = std::make_unique<const hdc::RecordEncoder>(
+            std::make_shared<const hdc::ItemMemory>(hdc::ItemMemory::generate(config)),
+            /*tie_seed=*/7);
+
+        util::Xoshiro256ss rng(612);
+        const auto random_levels = [&rng] {
+            std::vector<int> row(617);
+            for (auto& level : row) level = static_cast<int>(rng.next_below(16));
+            return row;
+        };
+        hdc::EncodedBatch batch;
+        for (int s = 0; s < 4 * 26; ++s) {
+            batch.non_binary.push_back(encoder->encode(random_levels()));
+            batch.labels.push_back(s % 26);
+        }
+        hdc::TrainConfig train;
+        train.retrain_epochs = 0;
+        model = hdc::HdcModel::train(batch, 26, train);
+        levels = random_levels();
+    }
+};
+
+const NonBinaryPredictFixture& non_binary_predict_fixture() {
+    static const NonBinaryPredictFixture fixture;
+    return fixture;
+}
+
+void BM_BackendPredictNonBinary(benchmark::State& state, kernels::Backend kind) {
+    const kernels::ScopedBackend pin(kind);
+    const auto& fixture = non_binary_predict_fixture();
+    hdc::EncoderScratch scratch;
+    hdc::IntHV query;
+    for (auto _ : state) {
+        fixture.encoder->encode_into(fixture.levels, scratch, query);
+        benchmark::DoNotOptimize(fixture.model.predict(query));
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+
 void register_backend_benchmarks() {
     for (const kernels::Backend kind : kernels::available_backends()) {
         const std::string suffix = std::string("/") + kernels::backend_name(kind);
@@ -857,6 +911,8 @@ void register_backend_benchmarks() {
                                      BM_BackendEncodeBatch, kind);
         benchmark::RegisterBenchmark(("BM_BackendPredictBinary" + suffix).c_str(),
                                      BM_BackendPredictBinary, kind);
+        benchmark::RegisterBenchmark(("BM_BackendPredictNonBinary" + suffix).c_str(),
+                                     BM_BackendPredictNonBinary, kind);
         benchmark::RegisterBenchmark(("BM_FusedPredict" + suffix + "/on").c_str(),
                                      BM_FusedPredict, kind, true);
         benchmark::RegisterBenchmark(("BM_FusedPredict" + suffix + "/off").c_str(),

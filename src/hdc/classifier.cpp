@@ -44,7 +44,7 @@ EncodedBatch HdcClassifier::encode_dataset(const data::Dataset& dataset, bool wi
     for (std::size_t s = 0; s < dataset.n_samples(); ++s) {
         discretizer_.transform_row(dataset.X.row(s), levels);
         encoder_->encode_into(levels, scratch, batch.non_binary[s]);
-        if (with_binary) encoder_->encode_binary_into(levels, scratch, batch.binary[s]);
+        if (with_binary) encoder_->binarize_into(levels, batch.non_binary[s], batch.binary[s]);
     }
     return batch;
 }

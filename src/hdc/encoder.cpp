@@ -1,5 +1,6 @@
 #include "hdc/encoder.hpp"
 
+#include <algorithm>
 #include <bit>
 
 #include "util/kernels.hpp"
@@ -65,19 +66,6 @@ BoundProductCache::BoundProductCache(std::span<const BinaryHV> feature_hvs,
 }
 
 // ---------------------------------------------------------------------------
-// EncoderScratch
-// ---------------------------------------------------------------------------
-
-util::ColumnCounter& EncoderScratch::counter(std::size_t dim, std::size_t n_planes) {
-    if (!counter_.has_value() || counter_->n_bits() != dim || counter_->n_planes() != n_planes) {
-        counter_.emplace(dim, n_planes);
-    } else {
-        counter_->reset();
-    }
-    return *counter_;
-}
-
-// ---------------------------------------------------------------------------
 // Encoder
 // ---------------------------------------------------------------------------
 
@@ -87,6 +75,34 @@ void Encoder::check_levels(std::span<const int> levels) const {
     for (const int level : levels) {
         HDLOCK_EXPECTS(level >= 0 && level < top, "Encoder: level out of range");
     }
+}
+
+const bits::Word* const* Encoder::bind_rows(std::span<const int> levels, EncoderScratch& scratch,
+                                            const BoundProductCache* cache) const {
+    const std::size_t n = levels.size();
+    scratch.rows_a_.resize(n);
+    // Cached shape: one pointer per precomputed product, rows_b == nullptr.
+    // Uncached shape: feature/value pointer pairs the kernels XOR on load.
+    if (cache != nullptr) {
+        HDLOCK_EXPECTS(cache->matches(n_features(), n_levels(), dim()),
+                       "Encoder: product cache built for a different encoder shape");
+        for (std::size_t i = 0; i < n; ++i) {
+            scratch.rows_a_[i] = cache->product(i, static_cast<std::size_t>(levels[i])).data();
+        }
+        return nullptr;
+    }
+    scratch.rows_b_.resize(n);
+    const std::span<const BinaryHV> feature_hvs = feature_hv_array();
+    const std::span<const BinaryHV> value_hvs = value_hv_array();
+    for (std::size_t i = 0; i < n; ++i) {
+        scratch.rows_a_[i] = feature_hvs[i].words().data();
+        scratch.rows_b_[i] = value_hvs[static_cast<std::size_t>(levels[i])].words().data();
+    }
+    return scratch.rows_b_.data();
+}
+
+util::Xoshiro256ss Encoder::tie_rng(std::span<const int> levels) const {
+    return util::Xoshiro256ss(util::hash_mix(tie_seed_, util::fnv1a_of(levels)));
 }
 
 IntHV Encoder::encode(std::span<const int> levels) const {
@@ -106,39 +122,32 @@ BinaryHV Encoder::encode_binary(std::span<const int> levels) const {
 void Encoder::encode_into(std::span<const int> levels, EncoderScratch& scratch, IntHV& out,
                           const BoundProductCache* cache) const {
     check_levels(levels);
-    const std::size_t d = dim();
-    // Plane count sized to the feature count: the whole row accumulates
-    // without an intermediate flush, and the result is read straight out of
-    // the planes (see ColumnCounter::bipolar_sums_into).
-    util::ColumnCounter& counter =
-        scratch.counter(d, util::ColumnCounter::planes_for_rows(levels.size()));
-    if (cache != nullptr) {
-        HDLOCK_EXPECTS(cache->matches(n_features(), n_levels(), d),
-                       "Encoder::encode_into: product cache built for a different encoder shape");
-        // Batch the precomputed products through add_rows: eight-row chunks
-        // compress in one csa_rows kernel call instead of eight phase steps.
-        scratch.rows_a_.resize(levels.size());
-        for (std::size_t i = 0; i < levels.size(); ++i) {
-            scratch.rows_a_[i] = cache->product(i, static_cast<std::size_t>(levels[i])).data();
-        }
-        counter.add_rows(scratch.rows_a_);
-    } else {
-        const std::span<const BinaryHV> feature_hvs = feature_hv_array();
-        const std::span<const BinaryHV> value_hvs = value_hv_array();
-        for (std::size_t i = 0; i < levels.size(); ++i) {
-            counter.add_xor(feature_hvs[i].words(),
-                            value_hvs[static_cast<std::size_t>(levels[i])].words());
-        }
+    const bits::Word* const* rows_b = bind_rows(levels, scratch, cache);
+    const std::size_t n = levels.size();
+    out.resize(dim());
+    const std::span<std::int32_t> sums = out.values();
+    std::fill(sums.begin(), sums.end(), 0);
+    const util::kernels::KernelBackend& kernel = util::kernels::active();
+    for (std::size_t r = 0; r < n; r += util::kernels::kMaxFusedRows) {
+        kernel.column_counts(scratch.rows_a_.data() + r, rows_b == nullptr ? nullptr : rows_b + r,
+                             std::min(util::kernels::kMaxFusedRows, n - r), sums.size(),
+                             sums.data());
     }
-    out.resize(d);
-    counter.bipolar_sums_into(out.values());
+    // Bit 1 encodes -1, so a column with `count` set bits sums to n - 2*count.
+    const auto total = static_cast<std::int32_t>(n);
+    for (std::int32_t& sum : sums) sum = total - 2 * sum;
 }
 
 void Encoder::encode_binary_into(std::span<const int> levels, EncoderScratch& scratch,
                                  BinaryHV& out, const BoundProductCache* cache) const {
     encode_into(levels, scratch, scratch.sums_, cache);
-    util::Xoshiro256ss tie_rng(util::hash_mix(tie_seed_, util::fnv1a_of(levels)));
-    scratch.sums_.sign_into(tie_rng, out);
+    binarize_into(levels, scratch.sums_, out);
+}
+
+void Encoder::binarize_into(std::span<const int> levels, const IntHV& sums, BinaryHV& out) const {
+    HDLOCK_EXPECTS(sums.dim() == dim(), "Encoder::binarize_into: sums dimension mismatch");
+    util::Xoshiro256ss rng = tie_rng(levels);
+    sums.sign_into(rng, out);
 }
 
 void Encoder::fused_hamming_into(std::span<const int> levels, EncoderScratch& scratch,
@@ -155,39 +164,15 @@ void Encoder::fused_hamming_into(std::span<const int> levels, EncoderScratch& sc
         HDLOCK_EXPECTS(hv.dim() == d, "Encoder::fused_hamming_into: class HV dimension mismatch");
     }
 
-    const std::size_t n = levels.size();
-    scratch.rows_a_.resize(n);
+    const bits::Word* const* rows_b = bind_rows(levels, scratch, cache);
     scratch.class_rows_.resize(class_hvs.size());
     for (std::size_t c = 0; c < class_hvs.size(); ++c) {
         scratch.class_rows_[c] = class_hvs[c].words().data();
     }
-
-    // Cached shape: one pointer per precomputed product, rows_b == nullptr.
-    // Uncached shape: feature/value pointer pairs, the kernel XORs them on
-    // load — same fusion the counter path gets from add_xor.
-    const bits::Word* const* rows_b = nullptr;
-    if (cache != nullptr) {
-        HDLOCK_EXPECTS(cache->matches(n_features(), n_levels(), d),
-                       "Encoder::fused_hamming_into: product cache built for a different "
-                       "encoder shape");
-        for (std::size_t i = 0; i < n; ++i) {
-            scratch.rows_a_[i] = cache->product(i, static_cast<std::size_t>(levels[i])).data();
-        }
-    } else {
-        scratch.rows_b_.resize(n);
-        const std::span<const BinaryHV> feature_hvs = feature_hv_array();
-        const std::span<const BinaryHV> value_hvs = value_hv_array();
-        for (std::size_t i = 0; i < n; ++i) {
-            scratch.rows_a_[i] = feature_hvs[i].words().data();
-            scratch.rows_b_[i] = value_hvs[static_cast<std::size_t>(levels[i])].words().data();
-        }
-        rows_b = scratch.rows_b_.data();
-    }
-
-    util::Xoshiro256ss tie_rng(util::hash_mix(tie_seed_, util::fnv1a_of(levels)));
+    util::Xoshiro256ss rng = tie_rng(levels);
     util::kernels::active().fused_hamming_scores(
-        scratch.rows_a_.data(), rows_b, n, scratch.class_rows_.data(), class_hvs.size(),
-        bits::word_count(d), &resolve_fused_ties, &tie_rng, distances.data());
+        scratch.rows_a_.data(), rows_b, levels.size(), scratch.class_rows_.data(),
+        class_hvs.size(), bits::word_count(d), &resolve_fused_ties, &rng, distances.data());
 }
 
 void Encoder::encode_batch(const util::Matrix<int>& levels_matrix, EncoderScratch& scratch,
@@ -226,23 +211,6 @@ RecordEncoder::RecordEncoder(std::shared_ptr<const ItemMemory> memory, std::uint
     : Encoder(tie_seed), memory_(std::move(memory)) {
     HDLOCK_EXPECTS(memory_ != nullptr, "RecordEncoder: null item memory");
     HDLOCK_EXPECTS(memory_->n_features() > 0, "RecordEncoder: item memory has no feature HVs");
-}
-
-IntHV encode_with_hvs(std::span<const BinaryHV> feature_hvs, std::span<const BinaryHV> value_hvs,
-                      std::span<const int> levels) {
-    HDLOCK_EXPECTS(!feature_hvs.empty(), "encode_with_hvs: no feature hypervectors");
-    HDLOCK_EXPECTS(levels.size() == feature_hvs.size(), "encode_with_hvs: shape mismatch");
-    const std::size_t dim = feature_hvs.front().dim();
-
-    util::ColumnCounter counter(dim, util::ColumnCounter::planes_for_rows(levels.size()));
-    for (std::size_t i = 0; i < levels.size(); ++i) {
-        counter.add_xor(feature_hvs[i].words(),
-                        value_hvs[static_cast<std::size_t>(levels[i])].words());
-    }
-
-    IntHV sums(dim);
-    counter.bipolar_sums_into(sums.values());
-    return sums;
 }
 
 IntHV RecordEncoder::encode_reference(std::span<const int> levels) const {

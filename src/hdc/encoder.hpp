@@ -11,14 +11,14 @@
 ///
 /// The encode kernel itself lives once in the base class, written against
 /// the subclasses' materialized hypervector arrays (feature_hv_array /
-/// value_hv_array): every row bundles the N bound products FeaHV_i ^
-/// ValHV_{levels[i]} through a bit-sliced ColumnCounter, with the XOR fused
-/// into the counter (ColumnCounter::add_xor) so no per-row product vector is
-/// ever materialized.  The batch entry points (encode_batch /
+/// value_hv_array): every row hands the N (FeaHV_i, ValHV_{levels[i]})
+/// pointer pairs to the Harley–Seal column_counts kernel
+/// (util/kernels.hpp), which XORs them on load, so no per-row product
+/// vector is ever materialized.  The batch entry points (encode_batch /
 /// encode_binary_batch) additionally reuse an EncoderScratch across rows, so
 /// a served batch performs no per-row heap allocation at all, and can run
 /// against a BoundProductCache that precomputes all N x M bound products —
-/// turning each row into pure counter adds.
+/// turning each row into pure column counts.
 ///
 /// Binarization ties: Eq. 3 assigns sign(0) randomly.  To keep an encoder a
 /// *function* (the same input always yields the same output, as a hardware
@@ -30,20 +30,18 @@
 /// seed, so all of them are bit-identical to each other.
 
 #include <memory>
-#include <optional>
 #include <span>
 #include <vector>
 
 #include "hdc/hypervector.hpp"
 #include "hdc/item_memory.hpp"
-#include "util/bitslice.hpp"
 #include "util/matrix.hpp"
 
 namespace hdlock::hdc {
 
 /// Opt-in precomputation of all N x M bound products FeaHV_i ^ ValHV_m
 /// (the tiny product set behind Eq. 2/10).  With the cache in place a row
-/// encode performs no XORs at all — one ColumnCounter::add per feature.
+/// encode performs no XORs at all — one product row per feature.
 /// The trade-off is memory: N * M * D bits (bytes_required()), which is why
 /// construction goes through Encoder::make_product_cache with an explicit
 /// byte cap.
@@ -82,10 +80,10 @@ private:
 };
 
 /// Reusable per-worker state for the allocation-free encode paths: the
-/// bit-sliced counter, the non-binary sums buffer feeding binarization, and
-/// a levels buffer callers may use for discretization.  One scratch per
-/// thread; a scratch adapts automatically when used with encoders of
-/// different shapes.
+/// row-pointer tables handed to the kernels, the non-binary sums buffer
+/// feeding binarization, and a levels buffer callers may use for
+/// discretization.  One scratch per thread; a scratch adapts automatically
+/// when used with encoders of different shapes.
 class EncoderScratch {
 public:
     EncoderScratch() = default;
@@ -106,18 +104,12 @@ public:
 private:
     friend class Encoder;
 
-    /// The counter, reset and re-shaped to `dim` columns with `n_planes`
-    /// carry-save planes (sized so a whole row's features fit flush-free).
-    util::ColumnCounter& counter(std::size_t dim, std::size_t n_planes);
-
-    std::optional<util::ColumnCounter> counter_;
     IntHV sums_;            // non-binary encoding en route to sign()
     std::vector<int> levels_;
-    // Row-pointer tables for the fused kernel call: the fused path hands the
-    // backend an array of product (or feature/value pair) pointers instead
-    // of streaming rows through the counter.
+    // Row-pointer tables for the column_counts / fused kernel calls: one
+    // product (or feature/value pair) pointer per feature.
     std::vector<const util::bits::Word*> rows_a_;      // products, or feature HVs
-    std::vector<const util::bits::Word*> rows_b_;      // value HVs (uncached fused path)
+    std::vector<const util::bits::Word*> rows_b_;      // value HVs (uncached path)
     std::vector<const util::bits::Word*> class_rows_;  // class HV word arrays
     std::vector<std::uint64_t> distances_;
 };
@@ -143,8 +135,8 @@ public:
     BinaryHV encode_binary(std::span<const int> levels) const;
 
     /// Allocation-free single-row encode: writes H_nb into `out` (re-shaped
-    /// to dim()), reusing the scratch's counter.  With a cache (built by
-    /// make_product_cache) the row is pure counter adds.  Bit-identical to
+    /// to dim()), reusing the scratch's row tables.  With a cache (built by
+    /// make_product_cache) the row is pure column counts.  Bit-identical to
     /// encode() on every input.
     void encode_into(std::span<const int> levels, EncoderScratch& scratch, IntHV& out,
                      const BoundProductCache* cache = nullptr) const;
@@ -152,6 +144,12 @@ public:
     /// Allocation-free binary encode; bit-identical to encode_binary().
     void encode_binary_into(std::span<const int> levels, EncoderScratch& scratch, BinaryHV& out,
                             const BoundProductCache* cache = nullptr) const;
+
+    /// Binarizes an already-computed H_nb of `levels` (the output of
+    /// encode_into for the same levels) with this encoder's per-input tie
+    /// stream: encode_into + binarize_into == encode_binary_into, so a
+    /// caller that needs both encodings encodes once.
+    void binarize_into(std::span<const int> levels, const IntHV& sums, BinaryHV& out) const;
 
     /// Fused encode→distance: writes Hamming(sign(H_nb), class_hvs[c]) into
     /// distances[c] without ever materializing the query hypervector.  The
@@ -198,6 +196,16 @@ protected:
     virtual std::span<const BinaryHV> value_hv_array() const = 0;
 
 private:
+    /// Fills the scratch's row tables for `levels` (validated): products
+    /// from `cache` when given, else feature/value pairs.  Returns the
+    /// rows_b table to pass the kernels, nullptr in the cached form.
+    const util::bits::Word* const* bind_rows(std::span<const int> levels,
+                                             EncoderScratch& scratch,
+                                             const BoundProductCache* cache) const;
+
+    /// The sign(0) tie stream for `levels` (see file comment).
+    util::Xoshiro256ss tie_rng(std::span<const int> levels) const;
+
     std::uint64_t tie_seed_;
 };
 
@@ -225,11 +233,5 @@ protected:
 private:
     std::shared_ptr<const ItemMemory> memory_;
 };
-
-/// Bundles the bound (ValHV x FeaHV) products for a level vector given
-/// explicit hypervector arrays; the free-function form of the shared kernel
-/// (kept for callers that hold raw arrays rather than an Encoder).
-IntHV encode_with_hvs(std::span<const BinaryHV> feature_hvs, std::span<const BinaryHV> value_hvs,
-                      std::span<const int> levels);
 
 }  // namespace hdlock::hdc

@@ -4,6 +4,8 @@
 #include <cmath>
 #include <cstring>
 
+#include "util/kernels.hpp"
+
 namespace hdlock::hdc {
 
 namespace bits = util::bits;
@@ -237,12 +239,9 @@ std::size_t IntHV::zero_count() const noexcept {
 
 std::int64_t IntHV::dot(const IntHV& other) const {
     HDLOCK_EXPECTS(dim() == other.dim(), "IntHV::dot: dimension mismatch");
-    const auto a = values();
-    const auto b = other.values();
+    const std::int32_t* row = other.values().data();
     std::int64_t sum = 0;
-    for (std::size_t i = 0; i < a.size(); ++i) {
-        sum += static_cast<std::int64_t>(a[i]) * b[i];
-    }
+    util::kernels::active().dot_scores(values().data(), &row, 1, dim(), &sum);
     return sum;
 }
 

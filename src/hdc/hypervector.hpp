@@ -169,7 +169,7 @@ public:
     IntHV operator-(const IntHV& other) const;
 
     /// Re-shapes to `dim` without zeroing (the values are about to be
-    /// overwritten wholesale, e.g. by ColumnCounter::bipolar_sums_into).
+    /// overwritten wholesale, e.g. by Encoder::encode_into).
     /// A view drops its alias without copying — the contents are doomed.
     void resize(std::size_t dim) {
         view_data_ = nullptr;
@@ -187,6 +187,7 @@ public:
     /// Number of exactly-zero elements (the sign() ties).
     std::size_t zero_count() const noexcept;
 
+    /// Exact int64 inner product (one row of the dot_scores kernel).
     std::int64_t dot(const IntHV& other) const;
     std::int64_t dot(const BinaryHV& other) const;
     double norm() const;

@@ -1,6 +1,10 @@
 #include "hdc/model.hpp"
 
+#include <algorithm>
+#include <cmath>
+
 #include "hdc/encoder.hpp"
+#include "util/kernels.hpp"
 
 namespace hdlock::hdc {
 
@@ -84,17 +88,36 @@ const BinaryHV& HdcModel::class_binary(int cls) const {
 
 int HdcModel::predict(const IntHV& query) const {
     HDLOCK_EXPECTS(!class_sums_.empty(), "HdcModel::predict: untrained model");
-    const double query_norm = query.norm();
+    // The kernel reads dim() values through raw pointers: a short query
+    // would be read out of bounds, not rejected.
+    HDLOCK_EXPECTS(query.dim() == dim(), "HdcModel::predict: query dimension mismatch");
+    // Class-row pointers are taken per call, in fixed-size stack chunks: the
+    // model is copied into serving states and class sums detach
+    // copy-on-write under retraining, so no pointer into them is cached.
+    constexpr std::size_t kChunk = 32;
+    const std::int32_t* rows[kChunk];
+    std::int64_t dots[kChunk];
+    const util::kernels::KernelBackend& kernel = util::kernels::active();
     int best = 0;
     double best_similarity = -2.0;
-    for (int cls = 0; cls < n_classes(); ++cls) {
-        const auto c = static_cast<std::size_t>(cls);
-        const double denom = class_norms_[c] * query_norm;
-        const double similarity =
-            denom == 0.0 ? 0.0 : static_cast<double>(class_sums_[c].dot(query)) / denom;
-        if (similarity > best_similarity) {
-            best_similarity = similarity;
-            best = cls;
+    for (std::size_t first = 0; first < class_sums_.size(); first += kChunk) {
+        const std::size_t count = std::min(kChunk, class_sums_.size() - first);
+        for (std::size_t i = 0; i < count; ++i) rows[i] = class_sums_[first + i].values().data();
+        const std::int64_t query_sq =
+            kernel.dot_scores(query.values().data(), rows, count, dim(), dots);
+        // sqrt of the exact integer sum of squares: bit-identical to
+        // IntHV::norm()'s double accumulation whenever the sum is below 2^53
+        // (every partial sum is then an exact double).  At the served shapes
+        // |q[i]| <= N, so the sum is at most D * N^2 <= 1e4 * 784^2 ~ 6.1e9.
+        const double query_norm = std::sqrt(static_cast<double>(query_sq));
+        for (std::size_t i = 0; i < count; ++i) {
+            const std::size_t c = first + i;
+            const double denom = class_norms_[c] * query_norm;
+            const double similarity = denom == 0.0 ? 0.0 : static_cast<double>(dots[i]) / denom;
+            if (similarity > best_similarity) {
+                best_similarity = similarity;
+                best = static_cast<int>(c);
+            }
         }
     }
     return best;

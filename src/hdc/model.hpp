@@ -68,9 +68,10 @@ public:
     /// Binarized class hypervector; only valid for binary models.
     const BinaryHV& class_binary(int cls) const;
 
-    /// Non-binary inference: argmax cosine(query, ClassHV_j).  Class-HV
-    /// norms are precomputed (and kept in sync through training updates), so
-    /// a call costs one query norm plus one dot product per class.
+    /// Non-binary inference: argmax cosine(query, ClassHV_j); the query
+    /// must have dim() elements.  Class-HV norms are precomputed (and kept
+    /// in sync through training updates), so a call is one dot_scores
+    /// kernel pass: a dot product per class plus the query's sum of squares.
     int predict(const IntHV& query) const;
     /// Binary inference: argmin Hamming(query, sign(ClassHV_j)).  The
     /// distance scoring runs on the dispatched SIMD word kernels

@@ -1,7 +1,9 @@
 #include "hdc/ngram_encoder.hpp"
 
-#include "util/bitslice.hpp"
+#include <algorithm>
+
 #include "util/error.hpp"
+#include "util/kernels.hpp"
 
 namespace hdlock::hdc {
 
@@ -41,13 +43,26 @@ BinaryHV NGramEncoder::gram_hv(std::span<const int> gram) const {
 IntHV NGramEncoder::encode(std::span<const int> sequence) const {
     HDLOCK_EXPECTS(sequence.size() >= gram_size_,
                    "NGramEncoder: sequence shorter than one gram");
-    util::ColumnCounter counter(dim_);
-    for (std::size_t t = 0; t + gram_size_ <= sequence.size(); ++t) {
-        const BinaryHV gram = gram_hv(sequence.subspan(t, gram_size_));
-        counter.add(gram.words());
-    }
+    // Grams are counted in batches of kBatch through column_counts, so the
+    // memory held stays bounded however long the sequence is.
+    constexpr std::size_t kBatch = 64;
+    const std::size_t n_grams = sequence.size() - gram_size_ + 1;
+    std::vector<BinaryHV> grams(std::min(kBatch, n_grams));
+    std::vector<const util::bits::Word*> rows(grams.size());
     IntHV sums(dim_);
-    counter.bipolar_sums_into(sums.values());
+    const std::span<std::int32_t> counts = sums.values();
+    const util::kernels::KernelBackend& kernel = util::kernels::active();
+    for (std::size_t first = 0; first < n_grams; first += kBatch) {
+        const std::size_t batch = std::min(kBatch, n_grams - first);
+        for (std::size_t i = 0; i < batch; ++i) {
+            grams[i] = gram_hv(sequence.subspan(first + i, gram_size_));
+            rows[i] = grams[i].words().data();
+        }
+        kernel.column_counts(rows.data(), nullptr, batch, dim_, counts.data());
+    }
+    // Bit 1 encodes -1, so a column with `count` set bits sums to n - 2*count.
+    const auto total = static_cast<std::int32_t>(n_grams);
+    for (std::int32_t& sum : counts) sum = total - 2 * sum;
     return sums;
 }
 

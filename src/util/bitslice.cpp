@@ -1,258 +1,6 @@
 #include "util/bitslice.hpp"
 
-#include <algorithm>
-#include <string>
-
-#include "util/kernels.hpp"
-
 namespace hdlock::util {
-
-namespace {
-constexpr std::size_t kMinPlanes = 1;
-constexpr std::size_t kMaxPlanes = 16;
-// The 8-row reduction needs the planes to absorb weight-8 carries plus the
-// settle-time residues; below this it falls back to row-at-a-time rippling.
-constexpr std::size_t kGroupPlanes = 4;
-// Upper bound on the row-weight the group registers can hold outside the
-// planes when a group is settled: pending (1) + twos_a (2) + fours_a (4) +
-// ones (1) + twos (2) + fours (4).
-constexpr std::size_t kGroupSlack = 14;
-}  // namespace
-
-ColumnCounter::ColumnCounter(std::size_t n_bits, std::size_t n_planes)
-    : n_bits_(n_bits),
-      n_words_(bits::word_count(n_bits)),
-      n_planes_(n_planes),
-      grouped_(n_planes >= kGroupPlanes) {
-    HDLOCK_EXPECTS(n_bits > 0, "ColumnCounter: n_bits must be positive");
-    if (n_planes < kMinPlanes || n_planes > kMaxPlanes) {
-        // A named configuration error rather than a contract macro: plane
-        // counts reach here from user-facing knobs (scratch sizing, tests),
-        // and n_planes == 0 in particular would otherwise underflow the
-        // capacity math into silent nonsense.
-        throw ConfigError("ColumnCounter: n_planes must be in [1, 16], got " +
-                          std::to_string(n_planes));
-    }
-    planes_.assign(n_planes_ * n_words_, 0);
-    flushed_.assign(n_bits_, 0);
-    if (grouped_) {
-        pending_.assign(n_words_, 0);
-        ones_.assign(n_words_, 0);
-        twos_a_.assign(n_words_, 0);
-        twos_.assign(n_words_, 0);
-        fours_a_.assign(n_words_, 0);
-        fours_.assign(n_words_, 0);
-        carry_.assign(n_words_, 0);
-    }
-}
-
-std::size_t ColumnCounter::planes_for_rows(std::size_t rows) noexcept {
-    std::size_t planes = kGroupPlanes;
-    while (planes < kMaxPlanes && ((std::size_t{1} << planes) - 1) < rows + kGroupSlack) {
-        ++planes;
-    }
-    return planes;
-}
-
-void ColumnCounter::accumulate_row_(const bits::Word* ya, const bits::Word* yb) {
-    const std::size_t capacity = (std::size_t{1} << n_planes_) - 1;
-    if (!grouped_) {
-        if (planes_rows_ == capacity) flush_planes_();
-        for (std::size_t w = 0; w < n_words_; ++w) {
-            bits::Word carry = yb == nullptr ? ya[w] : ya[w] ^ yb[w];
-            bits::Word* plane = planes_.data() + w * n_planes_;
-            for (std::size_t p = 0; p < n_planes_ && carry != 0; ++p) {
-                const bits::Word sum = plane[p] ^ carry;
-                carry &= plane[p];
-                plane[p] = sum;
-            }
-        }
-        ++planes_rows_;
-        ++rows_added_;
-        return;
-    }
-
-    // Harley–Seal 8-row pipeline.  A carry-save adder step
-    //   CSA(carry, sum, x, y):  u = sum^x; carry = (sum&x)|(u&y); sum = u^y
-    // folds two unit-weight inputs into `sum` and one double-weight carry.
-    // Rows pair through ones_, pairs through twos_, quads through fours_;
-    // only one weight-8 carry per 8 rows ever touches the planes.  Each
-    // phase is one whole-array kernel call on the active SIMD backend; the
-    // fused add_xor bind (yb != nullptr) happens inside the kernels.
-    const kernels::KernelBackend& kernel = kernels::active();
-    group_dirty_ = true;
-    switch (phase_) {
-        case 0:
-        case 2:
-        case 4:
-        case 6:  // buffer the odd row until its pair arrives
-            if (yb == nullptr) {
-                std::copy(ya, ya + n_words_, pending_.begin());
-            } else {
-                kernel.xor_into(pending_.data(), ya, yb, n_words_);
-            }
-            ++phase_;
-            break;
-        case 1:
-        case 5:  // first pair of a quad: carries park in twos_a_
-            kernel.csa_pair(ones_.data(), twos_a_.data(), pending_.data(), ya, yb, n_words_);
-            ++phase_;
-            break;
-        case 3:  // second pair: fold both twos into fours_a_
-            kernel.csa_quad(ones_.data(), twos_.data(), twos_a_.data(), fours_a_.data(),
-                            pending_.data(), ya, yb, n_words_);
-            ++phase_;
-            break;
-        case 7:  // fourth pair: fold all the way to one weight-8 carry
-            kernel.csa_oct(ones_.data(), twos_.data(), twos_a_.data(), fours_.data(),
-                           fours_a_.data(), carry_.data(), pending_.data(), ya, yb, n_words_);
-            push_carry_(carry_, 3);
-            phase_ = 0;
-            break;
-        default:
-            break;
-    }
-    ++rows_added_;
-}
-
-void ColumnCounter::add(std::span<const bits::Word> row) {
-    HDLOCK_EXPECTS(row.size() == n_words_, "ColumnCounter::add: row width mismatch");
-    accumulate_row_(row.data(), nullptr);
-}
-
-void ColumnCounter::add_xor(std::span<const bits::Word> a, std::span<const bits::Word> b) {
-    HDLOCK_EXPECTS(a.size() == n_words_ && b.size() == n_words_,
-                   "ColumnCounter::add_xor: row width mismatch");
-    accumulate_row_(a.data(), b.data());
-}
-
-void ColumnCounter::add_rows(std::span<const bits::Word* const> rows) {
-    std::size_t i = 0;
-    if (grouped_) {
-        const kernels::KernelBackend& kernel = kernels::active();
-        // csa_rows compresses eight rows through the exact phase-1/3/5/7
-        // tree, so it may only run when the pipeline sits on a group
-        // boundary; mid-group entries (phase_ != 0) fall through to the
-        // per-row path, which re-aligns the pipeline after 8 - phase_ rows.
-        for (; phase_ == 0 && i + 8 <= rows.size(); i += 8) {
-            group_dirty_ = true;
-            kernel.csa_rows(ones_.data(), twos_.data(), fours_.data(), carry_.data(),
-                            rows.data() + i, n_words_);
-            push_carry_(carry_, 3);
-            rows_added_ += 8;
-        }
-    }
-    for (; i < rows.size(); ++i) accumulate_row_(rows[i], nullptr);
-}
-
-void ColumnCounter::push_carry_(std::span<const bits::Word> carry_words,
-                                std::size_t start_plane) {
-    const std::size_t weight = std::size_t{1} << start_plane;
-    const std::size_t capacity = (std::size_t{1} << n_planes_) - 1;
-    if (planes_rows_ + weight > capacity) flush_planes_();
-    for (std::size_t w = 0; w < n_words_; ++w) {
-        bits::Word carry = carry_words[w];
-        bits::Word* plane = planes_.data() + w * n_planes_;
-        for (std::size_t p = start_plane; p < n_planes_ && carry != 0; ++p) {
-            const bits::Word sum = plane[p] ^ carry;
-            carry &= plane[p];
-            plane[p] = sum;
-        }
-    }
-    planes_rows_ += weight;
-}
-
-void ColumnCounter::settle_group_() {
-    if (!grouped_ || !group_dirty_) return;
-    if ((phase_ & 1) != 0) push_carry_(pending_, 0);
-    if (phase_ == 2 || phase_ == 3 || phase_ == 6 || phase_ == 7) push_carry_(twos_a_, 1);
-    if (phase_ >= 4) push_carry_(fours_a_, 2);
-    push_carry_(ones_, 0);
-    push_carry_(twos_, 1);
-    push_carry_(fours_, 2);
-    std::ranges::fill(pending_, bits::Word{0});
-    std::ranges::fill(ones_, bits::Word{0});
-    std::ranges::fill(twos_a_, bits::Word{0});
-    std::ranges::fill(twos_, bits::Word{0});
-    std::ranges::fill(fours_a_, bits::Word{0});
-    std::ranges::fill(fours_, bits::Word{0});
-    phase_ = 0;
-    group_dirty_ = false;
-}
-
-void ColumnCounter::unpack_planes_into_(std::span<std::int32_t> accumulator) const {
-    // Complete 64-column words go through the backend kernel (vector code
-    // touches all 64 output slots of a word unconditionally); the partial
-    // tail word — whose columns past n_bits_ have no accumulator slot —
-    // goes through the *same* kernel into a full-width stack buffer, and
-    // only the in-range columns fold back.  Plane tails are clean by the
-    // row-tail invariant, so the buffer's out-of-range columns stay zero;
-    // routing the tail through the vtable keeps every phase on the active
-    // backend (the scalar set-bit walk it replaces was the lone portable
-    // island in otherwise vectorized unpacks).
-    const std::size_t full_words = n_bits_ / bits::kWordBits;
-    const kernels::KernelBackend& kernel = kernels::active();
-    kernel.unpack_planes(planes_.data(), full_words, n_planes_, accumulator.data());
-    if (full_words == n_words_) return;
-    std::int32_t tail[bits::kWordBits] = {};
-    kernel.unpack_planes(planes_.data() + full_words * n_planes_, 1, n_planes_, tail);
-    const std::size_t base = full_words * bits::kWordBits;
-    for (std::size_t j = base; j < n_bits_; ++j) {
-        accumulator[j] += tail[j - base];
-    }
-}
-
-void ColumnCounter::flush_planes_() {
-    unpack_planes_into_(flushed_);
-    flushed_dirty_ = true;
-    std::ranges::fill(planes_, bits::Word{0});
-    planes_rows_ = 0;
-}
-
-void ColumnCounter::counts_into(std::span<std::int32_t> counts) {
-    HDLOCK_EXPECTS(counts.size() == n_bits_, "ColumnCounter::counts_into: size mismatch");
-    settle_group_();
-    flush_planes_();
-    std::copy(flushed_.begin(), flushed_.end(), counts.begin());
-}
-
-void ColumnCounter::bipolar_sums_into(std::span<std::int32_t> sums) {
-    HDLOCK_EXPECTS(sums.size() == n_bits_, "ColumnCounter::bipolar_sums_into: size mismatch");
-    settle_group_();
-    const auto n = static_cast<std::int32_t>(rows_added_);
-    if (!flushed_dirty_) {
-        // Nothing was ever folded out of the planes (the common batch-encode
-        // case: the row count fits the planes): unpack straight into the
-        // output, leaving the planes intact — the counter stays usable and
-        // flushed_ is never touched, so the next reset() skips re-zeroing it.
-        std::fill(sums.begin(), sums.end(), 0);
-        unpack_planes_into_(sums);
-        for (std::size_t j = 0; j < n_bits_; ++j) sums[j] = n - 2 * sums[j];
-        return;
-    }
-    flush_planes_();
-    for (std::size_t j = 0; j < n_bits_; ++j) sums[j] = n - 2 * flushed_[j];
-}
-
-void ColumnCounter::reset() noexcept {
-    if (planes_rows_ != 0) std::ranges::fill(planes_, bits::Word{0});
-    if (flushed_dirty_) {
-        std::ranges::fill(flushed_, 0);
-        flushed_dirty_ = false;
-    }
-    if (group_dirty_) {
-        std::ranges::fill(pending_, bits::Word{0});
-        std::ranges::fill(ones_, bits::Word{0});
-        std::ranges::fill(twos_a_, bits::Word{0});
-        std::ranges::fill(twos_, bits::Word{0});
-        std::ranges::fill(fours_a_, bits::Word{0});
-        std::ranges::fill(fours_, bits::Word{0});
-        group_dirty_ = false;
-    }
-    phase_ = 0;
-    planes_rows_ = 0;
-    rows_added_ = 0;
-}
 
 void naive_accumulate(std::span<const bits::Word> row, std::size_t n_bits,
                       std::span<std::int32_t> counts) {

@@ -1,145 +1,24 @@
 #pragma once
 
 /// \file bitslice.hpp
-/// Bit-sliced (carry-save) column accumulation.
+/// The naive column-count reference.
 ///
-/// The HDC encoder hot loop needs, for every output dimension j, the count of
-/// set bits across N packed product vectors (a column sum of an N x D bit
-/// matrix).  Unpacking every word bit-by-bit costs 64 scalar adds per word
-/// per row.  ColumnCounter instead folds rows into "vertical" bit planes
-/// (plane p holds bit p of every column's running count) — the classic
-/// vertical-counter technique from the population-count literature,
-/// mirroring how a hardware adder tree would fold the same computation.
-///
-/// Rippling every row through the planes costs ~3·log2(rows) bitwise ops per
-/// word, because at word granularity some column almost always carries.  With
-/// four or more planes the counter therefore runs a Harley–Seal style 8-row
-/// reduction instead: incoming rows pool pairwise through ones/twos/fours
-/// carry-save registers (5 ops per word per CSA step) and reach the planes
-/// only as weight-8 carries, cutting the amortized per-row cost roughly in
-/// half.  All of it is exact integer arithmetic — tests assert bit-equality
-/// with the naive reference across row counts and plane counts.
-///
-/// Batch-serving refinements on top:
-///  - planes are stored word-major (all planes of a word adjacent), so a
-///    carry ripple touches one or two cache lines;
-///  - size n_planes to the expected row count (planes_for_rows) and a whole
-///    encode fits in the planes: no intermediate flush, and
-///    bipolar_sums_into() unpacks the planes straight into the output
-///    without materializing the internal count buffer;
-///  - add_xor() fuses the encoder's bind step (XOR) into the accumulation so
-///    no product row is ever written to memory.
-///
-/// The per-word CSA steps and the plane unpack execute through the
-/// runtime-dispatched SIMD backend layer (util/kernels.hpp): whole word
-/// arrays per call, portable/AVX2/AVX-512 implementations, all bit-identical
-/// — the counter's exact-arithmetic contract is backend-independent.
-///
-/// tests/util/bitslice_test.cc asserts exact equality with the naive
-/// accumulation (and tests/util/kernels_test.cc across backends);
-/// bench/bench_ops.cpp measures the speedup (the ablation called out in
-/// DESIGN.md §4).
+/// Bundling (Eq. 2) needs, for every output dimension j, the count of set
+/// bits across N packed rows — a column sum of an N x D bit matrix.  The
+/// production count is the Harley–Seal column_counts kernel
+/// (util/kernels.hpp), which folds rows into bit-sliced count planes in
+/// registers and unpacks them per word block.  naive_accumulate is the slow,
+/// obviously-correct definition it is tested against
+/// (tests/util/bitslice_test.cc, tests/util/kernels_test.cc).
 
 #include <cstdint>
 #include <span>
-#include <vector>
 
 #include "util/bitvec.hpp"
 
 namespace hdlock::util {
 
-/// Accumulates per-column set-bit counts over a stream of equally sized
-/// packed bit rows.
-class ColumnCounter {
-public:
-    /// \param n_bits   logical columns per row
-    /// \param n_planes number of carry-save planes; per-column counts up to
-    ///                 2^n_planes - 1 live in the planes before being folded
-    ///                 into a plain integer buffer
-    /// \throws ConfigError when n_planes is outside the supported [1, 16]
-    ///         range (0 in particular — the silent-UB footgun this guards)
-    explicit ColumnCounter(std::size_t n_bits, std::size_t n_planes = 6);
-
-    /// The plane count that lets `rows` accumulate without any intermediate
-    /// flush (clamped to the supported range), including head-room for the
-    /// carry-save group residues.
-    static std::size_t planes_for_rows(std::size_t rows) noexcept;
-
-    /// Adds one packed row. `row` must hold word_count(n_bits) words with a
-    /// clean tail.
-    void add(std::span<const bits::Word> row);
-
-    /// Adds the row a ^ b without materializing it: the XOR happens word by
-    /// word inside the carry-save pipeline, so the encoder hot path needs no
-    /// per-row product buffer.  Exactly equivalent to
-    /// `xor_into(tmp, a, b); add(tmp)`.
-    void add_xor(std::span<const bits::Word> a, std::span<const bits::Word> b);
-
-    /// Adds a batch of packed rows (each word_count(n_bits) words with clean
-    /// tails).  When the 8-row pipeline is active and group-aligned, each
-    /// eight-row chunk folds through the single-pass csa_rows backend kernel
-    /// — one register-resident Harley–Seal tree per chunk instead of eight
-    /// phase steps round-tripping the pending row through memory; this is
-    /// the BoundProductCache accumulation path.  Leftover rows take the
-    /// per-row pipeline.  Exactly equivalent to add() on each row in order.
-    void add_rows(std::span<const bits::Word* const> rows);
-
-    /// Number of rows added since the last reset().
-    std::size_t rows_added() const noexcept { return rows_added_; }
-
-    /// Writes the per-column set-bit count into `counts` (size n_bits).
-    /// The counter remains usable; more rows may be added afterwards.
-    void counts_into(std::span<std::int32_t> counts);
-
-    /// Writes the per-column bipolar sum into `sums` (size n_bits), using the
-    /// bit convention of bitvec.hpp (bit 1 == value -1):
-    ///   sums[j] = rows_added() - 2 * count[j].
-    void bipolar_sums_into(std::span<std::int32_t> sums);
-
-    /// Clears all state.
-    void reset() noexcept;
-
-    std::size_t n_bits() const noexcept { return n_bits_; }
-    std::size_t n_planes() const noexcept { return n_planes_; }
-
-private:
-    /// Accumulates the row ya (or the fused bind ya ^ yb when yb != nullptr)
-    /// through the carry-save pipeline.  The whole-array CSA steps run on
-    /// the active util::kernels backend; only the strided plane ripple (one
-    /// weight-8 carry per 8 rows) stays scalar.
-    void accumulate_row_(const bits::Word* ya, const bits::Word* yb);
-    /// Folds the group registers (pending rows, ones/twos/fours residues)
-    /// into the planes; afterwards planes + flushed_ hold every added row.
-    void settle_group_();
-    /// Ripples a carry word array into the planes at `start_plane`
-    /// (weight 2^start_plane), flushing first when the planes could overflow.
-    void push_carry_(std::span<const bits::Word> carry, std::size_t start_plane);
-    void flush_planes_();
-    /// Adds the planes' content on top of `accumulator` (+= 2^p per set bit).
-    void unpack_planes_into_(std::span<std::int32_t> accumulator) const;
-
-    std::size_t n_bits_;
-    std::size_t n_words_;
-    std::size_t n_planes_;
-    bool grouped_;                          // 8-row Harley–Seal pipeline active
-    std::size_t rows_added_ = 0;
-    std::size_t planes_rows_ = 0;           // upper bound on any column count in planes
-    std::size_t phase_ = 0;                 // rows buffered in the current 8-group
-    bool flushed_dirty_ = false;            // flushed_ holds non-zero counts
-    bool group_dirty_ = false;              // group registers hold non-zero state
-    std::vector<bits::Word> planes_;        // word-major: planes_[w * n_planes_ + p]
-    std::vector<bits::Word> pending_;       // the odd row awaiting its pair
-    std::vector<bits::Word> ones_;          // weight-1 carry-save residue
-    std::vector<bits::Word> twos_a_;        // first pair's weight-2 carries
-    std::vector<bits::Word> twos_;          // weight-2 residue
-    std::vector<bits::Word> fours_a_;       // first quad's weight-4 carries
-    std::vector<bits::Word> fours_;         // weight-4 residue
-    std::vector<bits::Word> carry_;         // phase-7 weight-8 carry (pure scratch)
-    std::vector<std::int32_t> flushed_;     // counts already folded out of the planes
-};
-
-/// Reference implementation used by tests and kept as documentation of the
-/// semantics: adds each bit of `row` to `counts` individually.
+/// Adds each bit of `row` to `counts` individually (counts.size() == n_bits).
 void naive_accumulate(std::span<const bits::Word> row, std::size_t n_bits,
                       std::span<std::int32_t> counts);
 

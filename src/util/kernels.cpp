@@ -10,9 +10,9 @@
 namespace hdlock::util::kernels {
 
 // ---------------------------------------------------------------------------
-// Portable backend: the original bitvec/bitslice loops, moved here verbatim.
-// GCC/Clang auto-vectorize these at the build's baseline ISA; the explicit
-// backends exist because the baseline is usually SSE2-era.
+// Portable backend: the reference loops.  GCC/Clang auto-vectorize the
+// simple ones at the build's baseline ISA; the explicit backends exist
+// because the baseline is usually SSE2-era.
 // ---------------------------------------------------------------------------
 
 namespace portable {
@@ -35,74 +35,9 @@ std::size_t hamming(const Word* a, const Word* b, std::size_t n) noexcept {
     return total;
 }
 
-void csa_pair(Word* ones, Word* carry, const Word* x, const Word* ya, const Word* yb,
-              std::size_t n) noexcept {
-    if (yb == nullptr) {
-        for (std::size_t w = 0; w < n; ++w) {
-            const Word u = ones[w] ^ x[w];
-            carry[w] = (ones[w] & x[w]) | (u & ya[w]);
-            ones[w] = u ^ ya[w];
-        }
-        return;
-    }
-    for (std::size_t w = 0; w < n; ++w) {
-        const Word y = ya[w] ^ yb[w];
-        const Word u = ones[w] ^ x[w];
-        carry[w] = (ones[w] & x[w]) | (u & y);
-        ones[w] = u ^ y;
-    }
-}
-
-void csa_quad(Word* ones, Word* twos, const Word* twos_a, Word* fours_a, const Word* x,
-              const Word* ya, const Word* yb, std::size_t n) noexcept {
-    for (std::size_t w = 0; w < n; ++w) {
-        const Word y = yb == nullptr ? ya[w] : ya[w] ^ yb[w];
-        const Word u = ones[w] ^ x[w];
-        const Word twos_b = (ones[w] & x[w]) | (u & y);
-        ones[w] = u ^ y;
-        const Word u2 = twos[w] ^ twos_a[w];
-        fours_a[w] = (twos[w] & twos_a[w]) | (u2 & twos_b);
-        twos[w] = u2 ^ twos_b;
-    }
-}
-
-void csa_oct(Word* ones, Word* twos, const Word* twos_a, Word* fours, const Word* fours_a,
-             Word* carry_out, const Word* x, const Word* ya, const Word* yb,
-             std::size_t n) noexcept {
-    for (std::size_t w = 0; w < n; ++w) {
-        const Word y = yb == nullptr ? ya[w] : ya[w] ^ yb[w];
-        const Word u = ones[w] ^ x[w];
-        const Word twos_b = (ones[w] & x[w]) | (u & y);
-        ones[w] = u ^ y;
-        const Word u2 = twos[w] ^ twos_a[w];
-        const Word fours_b = (twos[w] & twos_a[w]) | (u2 & twos_b);
-        twos[w] = u2 ^ twos_b;
-        const Word u3 = fours[w] ^ fours_a[w];
-        carry_out[w] = (fours[w] & fours_a[w]) | (u3 & fours_b);
-        fours[w] = u3 ^ fours_b;
-    }
-}
-
-void unpack_planes(const Word* planes, std::size_t n_words, std::size_t n_planes,
-                   std::int32_t* accumulator) noexcept {
-    for (std::size_t w = 0; w < n_words; ++w) {
-        const Word* plane = planes + w * n_planes;
-        const std::size_t base = w * 64;
-        for (std::size_t p = 0; p < n_planes; ++p) {
-            const auto weight = static_cast<std::int32_t>(1u << p);
-            Word word = plane[p];
-            while (word != 0) {
-                const auto bit = static_cast<std::size_t>(std::countr_zero(word));
-                accumulator[base + bit] += weight;
-                word &= word - 1;  // clear lowest set bit
-            }
-        }
-    }
-}
-
-void csa_rows(Word* ones, Word* twos, Word* fours, Word* carry_out, const Word* const* rows,
-              std::size_t n) noexcept {
-    detail::csa_rows_words(ones, twos, fours, carry_out, rows, 0, n);
+void column_counts(const Word* const* rows_a, const Word* const* rows_b, std::size_t n_rows,
+                   std::size_t n_bits, std::int32_t* counts) noexcept {
+    detail::column_counts_words(rows_a, rows_b, n_rows, 0, n_bits, counts);
 }
 
 void fused_hamming_scores(const Word* const* rows_a, const Word* const* rows_b,
@@ -114,49 +49,24 @@ void fused_hamming_scores(const Word* const* rows_a, const Word* const* rows_b,
                                 tie_ctx, distances);
 }
 
-}  // namespace portable
-
-namespace detail {
-
-void csa_rows_words(Word* ones, Word* twos, Word* fours, Word* carry_out,
-                    const Word* const* rows, std::size_t word_begin,
-                    std::size_t word_end) noexcept {
-    const Word* r0 = rows[0];
-    const Word* r1 = rows[1];
-    const Word* r2 = rows[2];
-    const Word* r3 = rows[3];
-    const Word* r4 = rows[4];
-    const Word* r5 = rows[5];
-    const Word* r6 = rows[6];
-    const Word* r7 = rows[7];
-    for (std::size_t w = word_begin; w < word_end; ++w) {
-        // The exact compression tree of ColumnCounter phases 1/3/5/7 over a
-        // fresh group, so add_rows is plane-identical to eight add() calls.
-        Word u = ones[w] ^ r0[w];
-        const Word twos_a = (ones[w] & r0[w]) | (u & r1[w]);
-        Word one = u ^ r1[w];
-        u = one ^ r2[w];
-        const Word twos_b = (one & r2[w]) | (u & r3[w]);
-        one = u ^ r3[w];
-        Word u2 = twos[w] ^ twos_a;
-        const Word fours_a = (twos[w] & twos_a) | (u2 & twos_b);
-        Word two = u2 ^ twos_b;
-        u = one ^ r4[w];
-        const Word twos_c = (one & r4[w]) | (u & r5[w]);
-        one = u ^ r5[w];
-        u = one ^ r6[w];
-        const Word twos_d = (one & r6[w]) | (u & r7[w]);
-        one = u ^ r7[w];
-        u2 = two ^ twos_c;
-        const Word fours_b = (two & twos_c) | (u2 & twos_d);
-        two = u2 ^ twos_d;
-        const Word u3 = fours[w] ^ fours_a;
-        carry_out[w] = (fours[w] & fours_a) | (u3 & fours_b);
-        fours[w] = u3 ^ fours_b;
-        ones[w] = one;
-        twos[w] = two;
+/// The scalar reference dot loop.  Each product is exact in int64; the sum
+/// wraps modulo 2^64 like the vector backends' lane adds, so the result is
+/// defined (and backend-identical) even when it does not fit.
+std::int64_t dot(const std::int32_t* a, const std::int32_t* b, std::size_t n) noexcept {
+    std::uint64_t sum = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+        sum += static_cast<std::uint64_t>(static_cast<std::int64_t>(a[i]) * b[i]);
     }
+    return static_cast<std::int64_t>(sum);
 }
+
+std::int64_t dot_scores(const std::int32_t* query, const std::int32_t* const* class_rows,
+                        std::size_t n_classes, std::size_t n, std::int64_t* dots) noexcept {
+    for (std::size_t c = 0; c < n_classes; ++c) dots[c] = dot(query, class_rows[c], n);
+    return dot(query, query, n);
+}
+
+}  // namespace portable
 
 namespace {
 
@@ -171,7 +81,88 @@ inline void ripple(Word* planes, std::size_t n_planes, std::size_t start, Word c
     }
 }
 
+/// The scalar Harley–Seal block shared by column_counts_words and
+/// fused_hamming_words: leaves in planes[0, n_planes) the bit-sliced count
+/// of word `w` over the n_rows rows.  The SIMD backends run the same tree
+/// on 2/4/8-word blocks.
+void count_planes(const Word* const* rows_a, const Word* const* rows_b, std::size_t n_rows,
+                  std::size_t n_planes, std::size_t w, Word* planes) noexcept {
+    for (std::size_t p = 0; p < n_planes; ++p) planes[p] = 0;
+    Word ones = 0;
+    Word twos = 0;
+    Word fours = 0;
+    std::size_t r = 0;
+    for (; r + 8 <= n_rows; r += 8) {
+        Word x[8];
+        for (std::size_t k = 0; k < 8; ++k) {
+            x[k] = rows_b == nullptr ? rows_a[r + k][w] : rows_a[r + k][w] ^ rows_b[r + k][w];
+        }
+        // CSA(carry, sum, a, b): u = sum^a; carry = (sum&a)|(u&b); sum = u^b
+        // folds rows pairwise through ones, pairs through twos, quads
+        // through fours, so only one weight-8 carry per 8 rows reaches the
+        // planes.
+        Word u = ones ^ x[0];
+        const Word twos_a = (ones & x[0]) | (u & x[1]);
+        ones = u ^ x[1];
+        u = ones ^ x[2];
+        const Word twos_b = (ones & x[2]) | (u & x[3]);
+        ones = u ^ x[3];
+        Word u2 = twos ^ twos_a;
+        const Word fours_a = (twos & twos_a) | (u2 & twos_b);
+        twos = u2 ^ twos_b;
+        u = ones ^ x[4];
+        const Word twos_c = (ones & x[4]) | (u & x[5]);
+        ones = u ^ x[5];
+        u = ones ^ x[6];
+        const Word twos_d = (ones & x[6]) | (u & x[7]);
+        ones = u ^ x[7];
+        u2 = twos ^ twos_c;
+        const Word fours_b = (twos & twos_c) | (u2 & twos_d);
+        twos = u2 ^ twos_d;
+        const Word u3 = fours ^ fours_a;
+        const Word carry = (fours & fours_a) | (u3 & fours_b);
+        fours = u3 ^ fours_b;
+        ripple(planes, n_planes, 3, carry);
+    }
+    for (; r < n_rows; ++r) {
+        const Word x = rows_b == nullptr ? rows_a[r][w] : rows_a[r][w] ^ rows_b[r][w];
+        const Word c1 = ones & x;
+        ones ^= x;
+        const Word c2 = twos & c1;
+        twos ^= c1;
+        const Word c3 = fours & c2;
+        fours ^= c2;
+        ripple(planes, n_planes, 3, c3);
+    }
+    ripple(planes, n_planes, 0, ones);
+    ripple(planes, n_planes, 1, twos);
+    ripple(planes, n_planes, 2, fours);
+}
+
 }  // namespace
+
+namespace detail {
+
+void column_counts_words(const Word* const* rows_a, const Word* const* rows_b,
+                         std::size_t n_rows, std::size_t word_begin, std::size_t n_bits,
+                         std::int32_t* counts) noexcept {
+    if (n_rows == 0) return;
+    const auto n_planes = static_cast<std::size_t>(std::bit_width(n_rows));
+    const std::size_t n_words = (n_bits + 63) / 64;
+    Word planes[16];  // kMaxFusedRows caps counts at 16 bits
+    for (std::size_t w = word_begin; w < n_words; ++w) {
+        count_planes(rows_a, rows_b, n_rows, n_planes, w, planes);
+        const std::size_t base = w * 64;
+        const std::size_t limit = n_bits - base < 64 ? n_bits - base : 64;
+        const Word in_range = limit == 64 ? ~Word{0} : (Word{1} << limit) - 1;
+        for (std::size_t p = 0; p < n_planes; ++p) {
+            const auto weight = static_cast<std::int32_t>(1u << p);
+            for (Word word = planes[p] & in_range; word != 0; word &= word - 1) {
+                counts[base + static_cast<std::size_t>(std::countr_zero(word))] += weight;
+            }
+        }
+    }
+}
 
 void fused_hamming_words(const Word* const* rows_a, const Word* const* rows_b,
                          std::size_t n_rows, const Word* const* class_rows,
@@ -183,54 +174,7 @@ void fused_hamming_words(const Word* const* rows_a, const Word* const* rows_b,
     const bool can_tie = (n_rows % 2) == 0 && ties != nullptr;
     Word planes[16];  // kMaxFusedRows caps counts at 16 bits
     for (std::size_t w = word_begin; w < word_end; ++w) {
-        for (std::size_t p = 0; p < n_planes; ++p) planes[p] = 0;
-        Word ones = 0;
-        Word twos = 0;
-        Word fours = 0;
-        std::size_t r = 0;
-        for (; r + 8 <= n_rows; r += 8) {
-            Word x[8];
-            for (std::size_t k = 0; k < 8; ++k) {
-                x[k] = rows_b == nullptr ? rows_a[r + k][w]
-                                         : rows_a[r + k][w] ^ rows_b[r + k][w];
-            }
-            // Same tree as csa_rows_words, registers only.
-            Word u = ones ^ x[0];
-            const Word twos_a = (ones & x[0]) | (u & x[1]);
-            ones = u ^ x[1];
-            u = ones ^ x[2];
-            const Word twos_b = (ones & x[2]) | (u & x[3]);
-            ones = u ^ x[3];
-            Word u2 = twos ^ twos_a;
-            const Word fours_a = (twos & twos_a) | (u2 & twos_b);
-            twos = u2 ^ twos_b;
-            u = ones ^ x[4];
-            const Word twos_c = (ones & x[4]) | (u & x[5]);
-            ones = u ^ x[5];
-            u = ones ^ x[6];
-            const Word twos_d = (ones & x[6]) | (u & x[7]);
-            ones = u ^ x[7];
-            u2 = twos ^ twos_c;
-            const Word fours_b = (twos & twos_c) | (u2 & twos_d);
-            twos = u2 ^ twos_d;
-            const Word u3 = fours ^ fours_a;
-            const Word carry = (fours & fours_a) | (u3 & fours_b);
-            fours = u3 ^ fours_b;
-            ripple(planes, n_planes, 3, carry);
-        }
-        for (; r < n_rows; ++r) {
-            const Word x = rows_b == nullptr ? rows_a[r][w] : rows_a[r][w] ^ rows_b[r][w];
-            const Word c1 = ones & x;
-            ones ^= x;
-            const Word c2 = twos & c1;
-            twos ^= c1;
-            const Word c3 = fours & c2;
-            fours ^= c2;
-            ripple(planes, n_planes, 3, c3);
-        }
-        ripple(planes, n_planes, 0, ones);
-        ripple(planes, n_planes, 1, twos);
-        ripple(planes, n_planes, 2, fours);
+        count_planes(rows_a, rows_b, n_rows, n_planes, w, planes);
         // Binarize without unpacking: a bit-sliced lexicographic compare of
         // the per-column counts against the threshold, MSB plane first.  A
         // set query bit means count > n_rows/2, i.e. a negative bipolar sum.
@@ -253,12 +197,14 @@ void fused_hamming_words(const Word* const* rows_a, const Word* const* rows_b,
 
 const KernelBackend& portable_backend() noexcept {
     static constexpr KernelBackend backend{
-        Backend::portable,       "portable",
-        &portable::xor_into,     &portable::popcount,
-        &portable::hamming,      &portable::csa_pair,
-        &portable::csa_quad,     &portable::csa_oct,
-        &portable::unpack_planes, &portable::csa_rows,
+        Backend::portable,
+        "portable",
+        &portable::xor_into,
+        &portable::popcount,
+        &portable::hamming,
+        &portable::column_counts,
         &portable::fused_hamming_scores,
+        &portable::dot_scores,
     };
     return backend;
 }

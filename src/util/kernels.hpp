@@ -4,11 +4,11 @@
 /// Runtime-dispatched SIMD backends for the bit-packed word kernels.
 ///
 /// Everything hot in this codebase bottoms out in a handful of loops over
-/// packed uint64 words: XOR binds, population counts, Hamming distances, the
-/// Harley–Seal carry-save steps inside util::ColumnCounter, and the
-/// plane-unpack that turns carry-save planes back into per-column counts.
-/// This header gives those loops a vtable (KernelBackend) with four
-/// implementations:
+/// packed uint64 words and int32 hypervectors: XOR binds, population counts,
+/// Hamming distances, the Harley–Seal column count behind every bundling sum,
+/// the fused encode→distance scorer, and the exact int64 dot products of
+/// non-binary scoring.  This header gives those loops a vtable
+/// (KernelBackend) with four implementations:
 ///
 ///   portable  the plain C++ loops (always available, the reference);
 ///   neon      128-bit ARM NEON intrinsics (kernels_neon.cpp; Advanced SIMD
@@ -36,10 +36,9 @@
 ///
 /// Why dispatch sits at the word-kernel layer (and not per-encoder): see
 /// DESIGN.md §5.  In short, every encoder variant (record, locked, sealed),
-/// the model distance scoring and the attack sweeps share these same five
-/// loops; one dispatch point under util:: accelerates all of them at once
-/// and keeps the ISA-specific surface small enough to exhaustively test for
-/// bit-equality.
+/// the model scoring and the attack sweeps share these same six loops; one
+/// dispatch point under util:: accelerates all of them at once and keeps the
+/// ISA-specific surface small enough to exhaustively test for bit-equality.
 
 #include <cstddef>
 #include <cstdint>
@@ -57,9 +56,10 @@ using Word = std::uint64_t;
 /// string — so reordering to slot neon in is safe.
 enum class Backend : std::uint8_t { portable = 0, neon = 1, avx2 = 2, avx512 = 3 };
 
-/// Row-count ceiling of the fused encode→distance kernel: per-column counts
-/// are kept in bit-sliced planes, capped at 16 (the util::ColumnCounter
-/// plane budget), so counts must fit 16 bits.
+/// Row-count ceiling of one column_counts / fused_hamming_scores call: the
+/// per-column counts live in at most 16 bit-sliced planes (and the SIMD
+/// unpacks widen 16-bit lanes), so counts must fit 16 bits.  Callers with
+/// more rows split them into calls of at most this many.
 inline constexpr std::size_t kMaxFusedRows = 65535;
 
 /// Tie-break callback for fused_hamming_scores.  `eq_mask` flags the columns
@@ -91,45 +91,19 @@ struct KernelBackend {
     /// Total set bits of a[i] ^ b[i] over [0..n) (unnormalized Hamming).
     std::size_t (*hamming)(const Word* a, const Word* b, std::size_t n) noexcept;
 
-    /// One fused carry-save adder step over whole word arrays — the
-    /// ColumnCounter phase-1/5 kernel.  Per word, with y = yb ? ya^yb : ya
-    /// (the fused XOR bind of add_xor):
-    ///   u = ones ^ x; carry = (ones & x) | (u & y); ones = u ^ y
-    /// `carry` must not alias any input.
-    void (*csa_pair)(Word* ones, Word* carry, const Word* x, const Word* ya, const Word* yb,
-                     std::size_t n) noexcept;
-
-    /// The phase-3 kernel: the csa_pair fold of (x, y) into `ones` whose
-    /// weight-2 carry combines with twos_a into `twos`, spilling the
-    /// weight-4 carry into `fours_a`.
-    void (*csa_quad)(Word* ones, Word* twos, const Word* twos_a, Word* fours_a, const Word* x,
-                     const Word* ya, const Word* yb, std::size_t n) noexcept;
-
-    /// The phase-7 kernel: folds the eighth row all the way down, leaving
-    /// the group's single weight-8 carry in `carry_out` (the caller ripples
-    /// it into the planes, which are strided and stay scalar).
-    void (*csa_oct)(Word* ones, Word* twos, const Word* twos_a, Word* fours, const Word* fours_a,
-                    Word* carry_out, const Word* x, const Word* ya, const Word* yb,
-                    std::size_t n) noexcept;
-
-    /// Adds the word-major carry-save planes onto `accumulator`: for full
-    /// word w in [0, n_words) and plane p in [0, n_planes),
-    ///   accumulator[w * 64 + j] += bit j of planes[w * n_planes + p] << p.
-    /// Only complete words: the caller handles a partial tail word itself
-    /// (vector code writes all 64 columns of a word unconditionally).
-    void (*unpack_planes)(const Word* planes, std::size_t n_words, std::size_t n_planes,
-                          std::int32_t* accumulator) noexcept;
-
-    /// Folds exactly eight rows (rows[0..8)) into the carry-save
-    /// accumulators in one pass — arithmetic identical to the eight
-    /// per-phase ColumnCounter steps (csa_pair/quad/oct over a fresh group),
-    /// but with all intermediate values in registers instead of round-
-    /// tripping the pending row through memory.  Leaves the group's single
-    /// weight-8 carry in `carry_out`; no output aliases any input.  This is
-    /// the BoundProductCache accumulation kernel: the cached encode path
-    /// hands eight product rows at a time to ColumnCounter::add_rows.
-    void (*csa_rows)(Word* ones, Word* twos, Word* fours, Word* carry_out,
-                     const Word* const* rows, std::size_t n) noexcept;
+    /// The bundling column count: for every column j < n_bits,
+    ///   counts[j] += #{ r < n_rows : bit j of (rows_a[r] ^ rows_b[r]) }
+    /// (rows_a[r] alone when rows_b == nullptr — the BoundProductCache
+    /// form).  Per word block the Harley–Seal count planes stay in
+    /// registers/L1, exactly as in fused_hamming_scores, and are unpacked
+    /// in registers into the int32 counts; the bound products are never
+    /// written to memory.  Adds onto `counts`, so a caller with more than
+    /// kMaxFusedRows rows accumulates several calls.  Writes only columns
+    /// [0, n_bits); rows hold word_count(n_bits) words.
+    /// Requirement: n_rows <= kMaxFusedRows.
+    void (*column_counts)(const Word* const* rows_a, const Word* const* rows_b,
+                          std::size_t n_rows, std::size_t n_bits,
+                          std::int32_t* counts) noexcept;
 
     /// The fused encode→distance kernel: accumulates n_rows bit rows
     /// (rows_a[r], XORed with rows_b[r] when rows_b != nullptr — the bind
@@ -150,6 +124,16 @@ struct KernelBackend {
                                  std::size_t n_rows, const Word* const* class_rows,
                                  std::size_t n_classes, std::size_t n_words, TieResolver ties,
                                  void* tie_ctx, std::uint64_t* distances) noexcept;
+
+    /// Exact non-binary scoring: for every class c < n_classes,
+    ///   dots[c] = sum over i < n of int64(query[i]) * class_rows[c][i],
+    /// with every product a signed 32x32->64 multiply (no 32-bit
+    /// intermediate).  Returns the query's own sum of squares.  Sums
+    /// accumulate modulo 2^64, identically on every backend, so a result is
+    /// exact whenever the true value fits in int64.
+    std::int64_t (*dot_scores)(const std::int32_t* query, const std::int32_t* const* class_rows,
+                               std::size_t n_classes, std::size_t n,
+                               std::int64_t* dots) noexcept;
 };
 
 /// The reference backend (always available).
@@ -242,10 +226,10 @@ namespace detail {
 /// ISA) so the -m flagged translation units can call them without the ODR
 /// hazard of instantiating common code under a higher ISA.
 
-/// csa_rows over words [word_begin, word_end).
-void csa_rows_words(Word* ones, Word* twos, Word* fours, Word* carry_out,
-                    const Word* const* rows, std::size_t word_begin,
-                    std::size_t word_end) noexcept;
+/// column_counts over words [word_begin, word_count(n_bits)).
+void column_counts_words(const Word* const* rows_a, const Word* const* rows_b,
+                         std::size_t n_rows, std::size_t word_begin, std::size_t n_bits,
+                         std::int32_t* counts) noexcept;
 
 /// fused_hamming_scores over words [word_begin, word_end), accumulating into
 /// distances (the caller zeroes them once up front).

@@ -78,167 +78,6 @@ std::size_t hamming(const Word* a, const Word* b, std::size_t n) noexcept {
     return total;
 }
 
-/// Loads the row operand: ya[w..w+4) or the fused bind ya ^ yb.
-template <bool Fused>
-__m256i load_y(const Word* ya, const Word* yb, std::size_t w) noexcept {
-    const __m256i a = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(ya + w));
-    if constexpr (!Fused) return a;
-    const __m256i b = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(yb + w));
-    return _mm256_xor_si256(a, b);
-}
-
-template <bool Fused>
-void csa_pair_impl(Word* ones, Word* carry, const Word* x, const Word* ya, const Word* yb,
-                   std::size_t n) noexcept {
-    std::size_t w = 0;
-    for (; w + 4 <= n; w += 4) {
-        const __m256i o = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(ones + w));
-        const __m256i vx = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(x + w));
-        const __m256i y = load_y<Fused>(ya, yb, w);
-        const __m256i u = _mm256_xor_si256(o, vx);
-        _mm256_storeu_si256(reinterpret_cast<__m256i*>(carry + w),
-                            _mm256_or_si256(_mm256_and_si256(o, vx), _mm256_and_si256(u, y)));
-        _mm256_storeu_si256(reinterpret_cast<__m256i*>(ones + w), _mm256_xor_si256(u, y));
-    }
-    for (; w < n; ++w) {
-        const Word y = Fused ? ya[w] ^ yb[w] : ya[w];
-        const Word u = ones[w] ^ x[w];
-        carry[w] = (ones[w] & x[w]) | (u & y);
-        ones[w] = u ^ y;
-    }
-}
-
-void csa_pair(Word* ones, Word* carry, const Word* x, const Word* ya, const Word* yb,
-              std::size_t n) noexcept {
-    yb == nullptr ? csa_pair_impl<false>(ones, carry, x, ya, yb, n)
-                  : csa_pair_impl<true>(ones, carry, x, ya, yb, n);
-}
-
-template <bool Fused>
-void csa_quad_impl(Word* ones, Word* twos, const Word* twos_a, Word* fours_a, const Word* x,
-                   const Word* ya, const Word* yb, std::size_t n) noexcept {
-    std::size_t w = 0;
-    for (; w + 4 <= n; w += 4) {
-        const __m256i o = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(ones + w));
-        const __m256i vx = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(x + w));
-        const __m256i y = load_y<Fused>(ya, yb, w);
-        const __m256i u = _mm256_xor_si256(o, vx);
-        const __m256i twos_b =
-            _mm256_or_si256(_mm256_and_si256(o, vx), _mm256_and_si256(u, y));
-        _mm256_storeu_si256(reinterpret_cast<__m256i*>(ones + w), _mm256_xor_si256(u, y));
-        const __m256i t = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(twos + w));
-        const __m256i ta = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(twos_a + w));
-        const __m256i u2 = _mm256_xor_si256(t, ta);
-        _mm256_storeu_si256(reinterpret_cast<__m256i*>(fours_a + w),
-                            _mm256_or_si256(_mm256_and_si256(t, ta), _mm256_and_si256(u2, twos_b)));
-        _mm256_storeu_si256(reinterpret_cast<__m256i*>(twos + w), _mm256_xor_si256(u2, twos_b));
-    }
-    for (; w < n; ++w) {
-        const Word y = Fused ? ya[w] ^ yb[w] : ya[w];
-        const Word u = ones[w] ^ x[w];
-        const Word twos_b = (ones[w] & x[w]) | (u & y);
-        ones[w] = u ^ y;
-        const Word u2 = twos[w] ^ twos_a[w];
-        fours_a[w] = (twos[w] & twos_a[w]) | (u2 & twos_b);
-        twos[w] = u2 ^ twos_b;
-    }
-}
-
-void csa_quad(Word* ones, Word* twos, const Word* twos_a, Word* fours_a, const Word* x,
-              const Word* ya, const Word* yb, std::size_t n) noexcept {
-    yb == nullptr ? csa_quad_impl<false>(ones, twos, twos_a, fours_a, x, ya, yb, n)
-                  : csa_quad_impl<true>(ones, twos, twos_a, fours_a, x, ya, yb, n);
-}
-
-template <bool Fused>
-void csa_oct_impl(Word* ones, Word* twos, const Word* twos_a, Word* fours, const Word* fours_a,
-                  Word* carry_out, const Word* x, const Word* ya, const Word* yb,
-                  std::size_t n) noexcept {
-    std::size_t w = 0;
-    for (; w + 4 <= n; w += 4) {
-        const __m256i o = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(ones + w));
-        const __m256i vx = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(x + w));
-        const __m256i y = load_y<Fused>(ya, yb, w);
-        const __m256i u = _mm256_xor_si256(o, vx);
-        const __m256i twos_b =
-            _mm256_or_si256(_mm256_and_si256(o, vx), _mm256_and_si256(u, y));
-        _mm256_storeu_si256(reinterpret_cast<__m256i*>(ones + w), _mm256_xor_si256(u, y));
-        const __m256i t = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(twos + w));
-        const __m256i ta = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(twos_a + w));
-        const __m256i u2 = _mm256_xor_si256(t, ta);
-        const __m256i fours_b =
-            _mm256_or_si256(_mm256_and_si256(t, ta), _mm256_and_si256(u2, twos_b));
-        _mm256_storeu_si256(reinterpret_cast<__m256i*>(twos + w), _mm256_xor_si256(u2, twos_b));
-        const __m256i f = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(fours + w));
-        const __m256i fa = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(fours_a + w));
-        const __m256i u3 = _mm256_xor_si256(f, fa);
-        _mm256_storeu_si256(
-            reinterpret_cast<__m256i*>(carry_out + w),
-            _mm256_or_si256(_mm256_and_si256(f, fa), _mm256_and_si256(u3, fours_b)));
-        _mm256_storeu_si256(reinterpret_cast<__m256i*>(fours + w), _mm256_xor_si256(u3, fours_b));
-    }
-    for (; w < n; ++w) {
-        const Word y = Fused ? ya[w] ^ yb[w] : ya[w];
-        const Word u = ones[w] ^ x[w];
-        const Word twos_b = (ones[w] & x[w]) | (u & y);
-        ones[w] = u ^ y;
-        const Word u2 = twos[w] ^ twos_a[w];
-        const Word fours_b = (twos[w] & twos_a[w]) | (u2 & twos_b);
-        twos[w] = u2 ^ twos_b;
-        const Word u3 = fours[w] ^ fours_a[w];
-        carry_out[w] = (fours[w] & fours_a[w]) | (u3 & fours_b);
-        fours[w] = u3 ^ fours_b;
-    }
-}
-
-void csa_oct(Word* ones, Word* twos, const Word* twos_a, Word* fours, const Word* fours_a,
-             Word* carry_out, const Word* x, const Word* ya, const Word* yb,
-             std::size_t n) noexcept {
-    yb == nullptr
-        ? csa_oct_impl<false>(ones, twos, twos_a, fours, fours_a, carry_out, x, ya, yb, n)
-        : csa_oct_impl<true>(ones, twos, twos_a, fours, fours_a, carry_out, x, ya, yb, n);
-}
-
-/// Dense plane unpack: per 64-column word, spread each plane word's bits
-/// across eight 8-lane int32 vectors with a variable right shift, mask to
-/// the bit, weight by the plane, and accumulate.  Unlike the portable
-/// set-bit iteration this is branch-free and independent of plane density —
-/// which is what makes it faster on the ~half-dense low planes the encoder
-/// produces.
-void unpack_planes(const Word* planes, std::size_t n_words, std::size_t n_planes,
-                   std::int32_t* accumulator) noexcept {
-    const __m256i one = _mm256_set1_epi32(1);
-    const __m256i lane_shift = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
-    for (std::size_t w = 0; w < n_words; ++w) {
-        const Word* plane = planes + w * n_planes;
-        __m256i counts[8];
-        for (int v = 0; v < 8; ++v) counts[v] = _mm256_setzero_si256();
-        for (std::size_t p = 0; p < n_planes; ++p) {
-            const Word word = plane[p];
-            if (word == 0) continue;
-            const __m256i lo = _mm256_set1_epi32(static_cast<std::int32_t>(word));
-            const __m256i hi = _mm256_set1_epi32(static_cast<std::int32_t>(word >> 32));
-            const int weight_shift = static_cast<int>(p);
-            for (int v = 0; v < 4; ++v) {
-                const __m256i shift =
-                    _mm256_add_epi32(lane_shift, _mm256_set1_epi32(v * 8));
-                const __m256i bits_lo =
-                    _mm256_and_si256(_mm256_srlv_epi32(lo, shift), one);
-                const __m256i bits_hi =
-                    _mm256_and_si256(_mm256_srlv_epi32(hi, shift), one);
-                counts[v] = _mm256_add_epi32(counts[v], _mm256_slli_epi32(bits_lo, weight_shift));
-                counts[v + 4] =
-                    _mm256_add_epi32(counts[v + 4], _mm256_slli_epi32(bits_hi, weight_shift));
-            }
-        }
-        std::int32_t* out = accumulator + w * 64;
-        for (int v = 0; v < 8; ++v) {
-            __m256i* slot = reinterpret_cast<__m256i*>(out + v * 8);
-            _mm256_storeu_si256(slot, _mm256_add_epi32(_mm256_loadu_si256(slot), counts[v]));
-        }
-    }
-}
-
 /// sum = a ^ b ^ c.
 __m256i csa_sum(__m256i a, __m256i b, __m256i c) noexcept {
     return _mm256_xor_si256(_mm256_xor_si256(a, b), c);
@@ -250,54 +89,6 @@ __m256i csa_carry(__m256i a, __m256i b, __m256i c) noexcept {
                            _mm256_and_si256(_mm256_xor_si256(a, b), c));
 }
 
-void csa_rows(Word* ones, Word* twos, Word* fours, Word* carry_out, const Word* const* rows,
-              std::size_t n) noexcept {
-    const Word* r0 = rows[0];
-    const Word* r1 = rows[1];
-    const Word* r2 = rows[2];
-    const Word* r3 = rows[3];
-    const Word* r4 = rows[4];
-    const Word* r5 = rows[5];
-    const Word* r6 = rows[6];
-    const Word* r7 = rows[7];
-    const auto load = [](const Word* p, std::size_t w) noexcept {
-        return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p + w));
-    };
-    std::size_t w = 0;
-    for (; w + 4 <= n; w += 4) {
-        // Same dataflow as the scalar csa_rows_words tree.
-        __m256i o = load(ones, w);
-        const __m256i x0 = load(r0, w);
-        const __m256i x1 = load(r1, w);
-        const __m256i twos_a = csa_carry(o, x0, x1);
-        o = csa_sum(o, x0, x1);
-        const __m256i x2 = load(r2, w);
-        const __m256i x3 = load(r3, w);
-        const __m256i twos_b = csa_carry(o, x2, x3);
-        o = csa_sum(o, x2, x3);
-        __m256i t = load(twos, w);
-        const __m256i fours_a = csa_carry(t, twos_a, twos_b);
-        t = csa_sum(t, twos_a, twos_b);
-        const __m256i x4 = load(r4, w);
-        const __m256i x5 = load(r5, w);
-        const __m256i twos_c = csa_carry(o, x4, x5);
-        o = csa_sum(o, x4, x5);
-        const __m256i x6 = load(r6, w);
-        const __m256i x7 = load(r7, w);
-        const __m256i twos_d = csa_carry(o, x6, x7);
-        o = csa_sum(o, x6, x7);
-        const __m256i fours_b = csa_carry(t, twos_c, twos_d);
-        t = csa_sum(t, twos_c, twos_d);
-        const __m256i f = load(fours, w);
-        _mm256_storeu_si256(reinterpret_cast<__m256i*>(carry_out + w),
-                            csa_carry(f, fours_a, fours_b));
-        _mm256_storeu_si256(reinterpret_cast<__m256i*>(fours + w), csa_sum(f, fours_a, fours_b));
-        _mm256_storeu_si256(reinterpret_cast<__m256i*>(ones + w), o);
-        _mm256_storeu_si256(reinterpret_cast<__m256i*>(twos + w), t);
-    }
-    detail::csa_rows_words(ones, twos, fours, carry_out, rows, w, n);
-}
-
 template <bool Fused>
 __m256i load_row(const Word* const* rows_a, const Word* const* rows_b, std::size_t r,
                  std::size_t w) noexcept {
@@ -305,6 +96,154 @@ __m256i load_row(const Word* const* rows_a, const Word* const* rows_b, std::size
     if constexpr (!Fused) return a;
     const __m256i b = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(rows_b[r] + w));
     return _mm256_xor_si256(a, b);
+}
+
+/// The Harley–Seal block shared by column_counts and fused_hamming_scores:
+/// leaves in planes[0, n_planes) the bit-sliced counts of the four words at
+/// `w` over the n_rows rows.  Planes past the 16-ymm register file spill to
+/// the stack but stay L1-hot — they are touched once per 8 rows.
+/// Forced inline with the planes as a 16-element array so the compiler
+/// sees the plane bound (see kernels_avx512.cpp).
+template <bool Fused>
+[[gnu::always_inline]] inline void count_planes(const Word* const* rows_a,
+                                                const Word* const* rows_b, std::size_t n_rows,
+                                                std::size_t n_planes, std::size_t w,
+                                                __m256i (&planes)[16]) noexcept {
+    for (std::size_t p = 0; p < n_planes; ++p) planes[p] = _mm256_setzero_si256();
+    __m256i ones = _mm256_setzero_si256();
+    __m256i twos = _mm256_setzero_si256();
+    __m256i fours = _mm256_setzero_si256();
+    std::size_t r = 0;
+    for (; r + 8 <= n_rows; r += 8) {
+        const __m256i x0 = load_row<Fused>(rows_a, rows_b, r + 0, w);
+        const __m256i x1 = load_row<Fused>(rows_a, rows_b, r + 1, w);
+        const __m256i twos_a = csa_carry(ones, x0, x1);
+        ones = csa_sum(ones, x0, x1);
+        const __m256i x2 = load_row<Fused>(rows_a, rows_b, r + 2, w);
+        const __m256i x3 = load_row<Fused>(rows_a, rows_b, r + 3, w);
+        const __m256i twos_b = csa_carry(ones, x2, x3);
+        ones = csa_sum(ones, x2, x3);
+        const __m256i fours_a = csa_carry(twos, twos_a, twos_b);
+        twos = csa_sum(twos, twos_a, twos_b);
+        const __m256i x4 = load_row<Fused>(rows_a, rows_b, r + 4, w);
+        const __m256i x5 = load_row<Fused>(rows_a, rows_b, r + 5, w);
+        const __m256i twos_c = csa_carry(ones, x4, x5);
+        ones = csa_sum(ones, x4, x5);
+        const __m256i x6 = load_row<Fused>(rows_a, rows_b, r + 6, w);
+        const __m256i x7 = load_row<Fused>(rows_a, rows_b, r + 7, w);
+        const __m256i twos_d = csa_carry(ones, x6, x7);
+        ones = csa_sum(ones, x6, x7);
+        const __m256i fours_b = csa_carry(twos, twos_c, twos_d);
+        twos = csa_sum(twos, twos_c, twos_d);
+        __m256i carry = csa_carry(fours, fours_a, fours_b);
+        fours = csa_sum(fours, fours_a, fours_b);
+        for (std::size_t p = 3; p < n_planes; ++p) {
+            const __m256i sum = _mm256_xor_si256(planes[p], carry);
+            carry = _mm256_and_si256(planes[p], carry);
+            planes[p] = sum;
+        }
+    }
+    for (; r < n_rows; ++r) {
+        const __m256i x = load_row<Fused>(rows_a, rows_b, r, w);
+        __m256i carry = _mm256_and_si256(ones, x);
+        ones = _mm256_xor_si256(ones, x);
+        const __m256i c2 = _mm256_and_si256(twos, carry);
+        twos = _mm256_xor_si256(twos, carry);
+        carry = _mm256_and_si256(fours, c2);
+        fours = _mm256_xor_si256(fours, c2);
+        for (std::size_t p = 3; p < n_planes; ++p) {
+            const __m256i sum = _mm256_xor_si256(planes[p], carry);
+            carry = _mm256_and_si256(planes[p], carry);
+            planes[p] = sum;
+        }
+    }
+    const __m256i carries[3] = {ones, twos, fours};
+    for (std::size_t start = 0; start < 3; ++start) {
+        __m256i carry = carries[start];
+        for (std::size_t p = start; p < n_planes; ++p) {
+            const __m256i sum = _mm256_xor_si256(planes[p], carry);
+            carry = _mm256_and_si256(planes[p], carry);
+            planes[p] = sum;
+        }
+    }
+}
+
+/// counts[0, 8) += the eight uint16 lanes of v.
+void add_counts8(std::int32_t* counts, __m128i v) noexcept {
+    __m256i* slot = reinterpret_cast<__m256i*>(counts);
+    _mm256_storeu_si256(slot, _mm256_add_epi32(_mm256_loadu_si256(slot), _mm256_cvtepu16_epi32(v)));
+}
+
+/// Adds one block's 256 column counts onto counts[0, 256).  Per 32-column
+/// half-word, every plane word spreads to one byte per column (vpshufb of
+/// the broadcast, then a per-byte bit test), weighted into a low (planes
+/// 0-7) and a high (planes 8-15) byte of the count; interleaving the two
+/// bytes yields 16-bit counts, which widen to int32.
+[[gnu::always_inline]] inline void add_block_counts(const __m256i (&planes)[16],
+                                                   std::size_t n_planes,
+                                                   std::int32_t* counts) noexcept {
+    alignas(32) Word words[16][4];
+    for (std::size_t p = 0; p < n_planes; ++p) {
+        _mm256_store_si256(reinterpret_cast<__m256i*>(words[p]), planes[p]);
+    }
+    // vpshufb is in-lane, but the 32-bit broadcast fills both lanes, so the
+    // high lane can pick bytes 2 and 3 just like the low lane picks 0 and 1.
+    const __m256i spread = _mm256_setr_epi8(0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1, 1, 1,
+                                            2, 2, 2, 2, 2, 2, 2, 2, 3, 3, 3, 3, 3, 3, 3, 3);
+    const __m256i bit = _mm256_set1_epi64x(static_cast<long long>(0x8040201008040201ULL));
+    const auto column_bits = [&](Word chunk) noexcept {
+        const __m256i x = _mm256_shuffle_epi8(
+            _mm256_set1_epi32(static_cast<int>(static_cast<std::uint32_t>(chunk))), spread);
+        return _mm256_cmpeq_epi8(_mm256_and_si256(x, bit), bit);
+    };
+    for (std::size_t k = 0; k < 4; ++k) {
+        for (std::size_t half = 0; half < 2; ++half) {
+            __m256i low = _mm256_setzero_si256();
+            __m256i high = _mm256_setzero_si256();
+            for (std::size_t p = 0; p < n_planes; ++p) {
+                const __m256i weight = _mm256_set1_epi8(static_cast<char>(1u << (p % 8)));
+                const __m256i bits =
+                    _mm256_and_si256(column_bits(words[p][k] >> (32 * half)), weight);
+                if (p < 8) {
+                    low = _mm256_or_si256(low, bits);
+                } else {
+                    high = _mm256_or_si256(high, bits);
+                }
+            }
+            // unpacklo/hi interleave in-lane: columns 0-7 and 16-23, then
+            // columns 8-15 and 24-31.
+            const __m256i first = _mm256_unpacklo_epi8(low, high);
+            const __m256i second = _mm256_unpackhi_epi8(low, high);
+            std::int32_t* out = counts + k * 64 + half * 32;
+            add_counts8(out, _mm256_castsi256_si128(first));
+            add_counts8(out + 8, _mm256_castsi256_si128(second));
+            add_counts8(out + 16, _mm256_extracti128_si256(first, 1));
+            add_counts8(out + 24, _mm256_extracti128_si256(second, 1));
+        }
+    }
+}
+
+template <bool Fused>
+void column_counts_impl(const Word* const* rows_a, const Word* const* rows_b, std::size_t n_rows,
+                        std::size_t n_bits, std::int32_t* counts) noexcept {
+    const auto n_planes = static_cast<std::size_t>(64 - __builtin_clzll(n_rows));
+    // Vector blocks cover whole words only; the partial last word, whose
+    // columns past n_bits have no count slot, goes through the scalar tail.
+    const std::size_t full_words = n_bits / 64;
+    std::size_t w = 0;
+    for (; w + 4 <= full_words; w += 4) {
+        __m256i planes[16];
+        count_planes<Fused>(rows_a, rows_b, n_rows, n_planes, w, planes);
+        add_block_counts(planes, n_planes, counts + w * 64);
+    }
+    detail::column_counts_words(rows_a, rows_b, n_rows, w, n_bits, counts);
+}
+
+void column_counts(const Word* const* rows_a, const Word* const* rows_b, std::size_t n_rows,
+                   std::size_t n_bits, std::int32_t* counts) noexcept {
+    if (n_rows == 0) return;
+    rows_b == nullptr ? column_counts_impl<false>(rows_a, rows_b, n_rows, n_bits, counts)
+                      : column_counts_impl<true>(rows_a, rows_b, n_rows, n_bits, counts);
 }
 
 template <bool Fused>
@@ -317,66 +256,8 @@ void fused_hamming_scores_impl(const Word* const* rows_a, const Word* const* row
     const bool can_tie = (n_rows % 2) == 0 && ties != nullptr;
     std::size_t w = 0;
     for (; w + 4 <= n_words; w += 4) {
-        // Per four-word block: planes past the 16-ymm register file spill to
-        // the stack, but stay L1-hot — they are touched once per 8 rows.
         __m256i planes[16];
-        for (std::size_t p = 0; p < n_planes; ++p) planes[p] = _mm256_setzero_si256();
-        __m256i ones = _mm256_setzero_si256();
-        __m256i twos = _mm256_setzero_si256();
-        __m256i fours = _mm256_setzero_si256();
-        std::size_t r = 0;
-        for (; r + 8 <= n_rows; r += 8) {
-            const __m256i x0 = load_row<Fused>(rows_a, rows_b, r + 0, w);
-            const __m256i x1 = load_row<Fused>(rows_a, rows_b, r + 1, w);
-            const __m256i twos_a = csa_carry(ones, x0, x1);
-            ones = csa_sum(ones, x0, x1);
-            const __m256i x2 = load_row<Fused>(rows_a, rows_b, r + 2, w);
-            const __m256i x3 = load_row<Fused>(rows_a, rows_b, r + 3, w);
-            const __m256i twos_b = csa_carry(ones, x2, x3);
-            ones = csa_sum(ones, x2, x3);
-            const __m256i fours_a = csa_carry(twos, twos_a, twos_b);
-            twos = csa_sum(twos, twos_a, twos_b);
-            const __m256i x4 = load_row<Fused>(rows_a, rows_b, r + 4, w);
-            const __m256i x5 = load_row<Fused>(rows_a, rows_b, r + 5, w);
-            const __m256i twos_c = csa_carry(ones, x4, x5);
-            ones = csa_sum(ones, x4, x5);
-            const __m256i x6 = load_row<Fused>(rows_a, rows_b, r + 6, w);
-            const __m256i x7 = load_row<Fused>(rows_a, rows_b, r + 7, w);
-            const __m256i twos_d = csa_carry(ones, x6, x7);
-            ones = csa_sum(ones, x6, x7);
-            const __m256i fours_b = csa_carry(twos, twos_c, twos_d);
-            twos = csa_sum(twos, twos_c, twos_d);
-            __m256i carry = csa_carry(fours, fours_a, fours_b);
-            fours = csa_sum(fours, fours_a, fours_b);
-            for (std::size_t p = 3; p < n_planes; ++p) {
-                const __m256i sum = _mm256_xor_si256(planes[p], carry);
-                carry = _mm256_and_si256(planes[p], carry);
-                planes[p] = sum;
-            }
-        }
-        for (; r < n_rows; ++r) {
-            const __m256i x = load_row<Fused>(rows_a, rows_b, r, w);
-            __m256i carry = _mm256_and_si256(ones, x);
-            ones = _mm256_xor_si256(ones, x);
-            const __m256i c2 = _mm256_and_si256(twos, carry);
-            twos = _mm256_xor_si256(twos, carry);
-            carry = _mm256_and_si256(fours, c2);
-            fours = _mm256_xor_si256(fours, c2);
-            for (std::size_t p = 3; p < n_planes; ++p) {
-                const __m256i sum = _mm256_xor_si256(planes[p], carry);
-                carry = _mm256_and_si256(planes[p], carry);
-                planes[p] = sum;
-            }
-        }
-        const __m256i carries[3] = {ones, twos, fours};
-        for (std::size_t start = 0; start < 3; ++start) {
-            __m256i carry = carries[start];
-            for (std::size_t p = start; p < n_planes; ++p) {
-                const __m256i sum = _mm256_xor_si256(planes[p], carry);
-                carry = _mm256_and_si256(planes[p], carry);
-                planes[p] = sum;
-            }
-        }
+        count_planes<Fused>(rows_a, rows_b, n_rows, n_planes, w, planes);
         // Bit-sliced count > / == threshold, MSB plane first.
         __m256i gt = _mm256_setzero_si256();
         __m256i eq = _mm256_set1_epi64x(-1);
@@ -423,9 +304,48 @@ void fused_hamming_scores(const Word* const* rows_a, const Word* const* rows_b,
                                           n_words, ties, tie_ctx, distances);
 }
 
+/// dots[g] = query . rows[g] for G rows in one pass over the query.
+/// vpmuldq multiplies the signed low halves of the 64-bit lanes, so each
+/// 8-lane step takes the even int32 lanes directly and the odd ones after a
+/// 32-bit shift: exact int64 products, summed in wrapping int64 lanes.
+template <std::size_t G>
+void dot_group(const std::int32_t* query, const std::int32_t* const* rows, std::size_t n,
+               std::int64_t* dots) noexcept {
+    __m256i even[G];
+    __m256i odd[G];
+    for (std::size_t g = 0; g < G; ++g) even[g] = odd[g] = _mm256_setzero_si256();
+    std::size_t i = 0;
+    for (; i + 8 <= n; i += 8) {
+        const __m256i q = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(query + i));
+        const __m256i q_odd = _mm256_srli_epi64(q, 32);
+        for (std::size_t g = 0; g < G; ++g) {
+            const __m256i v = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(rows[g] + i));
+            even[g] = _mm256_add_epi64(even[g], _mm256_mul_epi32(q, v));
+            odd[g] = _mm256_add_epi64(odd[g], _mm256_mul_epi32(q_odd, _mm256_srli_epi64(v, 32)));
+        }
+    }
+    for (std::size_t g = 0; g < G; ++g) {
+        std::uint64_t sum = reduce_epi64(_mm256_add_epi64(even[g], odd[g]));
+        for (std::size_t t = i; t < n; ++t) {
+            sum += static_cast<std::uint64_t>(static_cast<std::int64_t>(query[t]) * rows[g][t]);
+        }
+        dots[g] = static_cast<std::int64_t>(sum);
+    }
+}
+
+std::int64_t dot_scores(const std::int32_t* query, const std::int32_t* const* class_rows,
+                        std::size_t n_classes, std::size_t n, std::int64_t* dots) noexcept {
+    std::size_t c = 0;
+    for (; c + 4 <= n_classes; c += 4) dot_group<4>(query, class_rows + c, n, dots + c);
+    for (; c < n_classes; ++c) dot_group<1>(query, class_rows + c, n, dots + c);
+    std::int64_t query_sq = 0;
+    dot_group<1>(query, &query, n, &query_sq);
+    return query_sq;
+}
+
 constexpr KernelBackend kBackend{
-    Backend::avx2, "avx2",   &xor_into, &popcount,      &hamming,  &csa_pair,
-    &csa_quad,     &csa_oct, &unpack_planes, &csa_rows, &fused_hamming_scores,
+    Backend::avx2, "avx2",         &xor_into,             &popcount,
+    &hamming,      &column_counts, &fused_hamming_scores, &dot_scores,
 };
 
 }  // namespace

@@ -1,7 +1,8 @@
 /// \file kernels_avx512.cpp
 /// The AVX-512 kernel backend: 512-bit words, vpternlogq for the carry-save
 /// sum (A^B^C, imm 0x96) and majority (carry, imm 0xE8) in one instruction
-/// each, and the native vpopcntq for population counts.
+/// each, the native vpopcntq for population counts, AVX-512BW lane masks
+/// for the count-plane unpack, and vpmuldq for exact int64 dot products.
 ///
 /// Compiled with -mavx512f -mavx512bw -mavx512vpopcntdq (per-file, see
 /// CMakeLists.txt); selected at runtime only when CPUID reports all three
@@ -73,206 +74,132 @@ __m512i csa_carry(__m512i a, __m512i b, __m512i c) noexcept {
 }
 
 template <bool Fused>
-__m512i load_y(const Word* ya, const Word* yb, std::size_t w) noexcept {
-    const __m512i a = _mm512_loadu_si512(ya + w);
-    if constexpr (!Fused) return a;
-    return _mm512_xor_si512(a, _mm512_loadu_si512(yb + w));
-}
-
-template <bool Fused>
-void csa_pair_impl(Word* ones, Word* carry, const Word* x, const Word* ya, const Word* yb,
-                   std::size_t n) noexcept {
-    std::size_t w = 0;
-    for (; w + 8 <= n; w += 8) {
-        const __m512i o = _mm512_loadu_si512(ones + w);
-        const __m512i vx = _mm512_loadu_si512(x + w);
-        const __m512i y = load_y<Fused>(ya, yb, w);
-        _mm512_storeu_si512(carry + w, csa_carry(o, vx, y));
-        _mm512_storeu_si512(ones + w, csa_sum(o, vx, y));
-    }
-    for (; w < n; ++w) {
-        const Word y = Fused ? ya[w] ^ yb[w] : ya[w];
-        const Word u = ones[w] ^ x[w];
-        carry[w] = (ones[w] & x[w]) | (u & y);
-        ones[w] = u ^ y;
-    }
-}
-
-void csa_pair(Word* ones, Word* carry, const Word* x, const Word* ya, const Word* yb,
-              std::size_t n) noexcept {
-    yb == nullptr ? csa_pair_impl<false>(ones, carry, x, ya, yb, n)
-                  : csa_pair_impl<true>(ones, carry, x, ya, yb, n);
-}
-
-template <bool Fused>
-void csa_quad_impl(Word* ones, Word* twos, const Word* twos_a, Word* fours_a, const Word* x,
-                   const Word* ya, const Word* yb, std::size_t n) noexcept {
-    std::size_t w = 0;
-    for (; w + 8 <= n; w += 8) {
-        const __m512i o = _mm512_loadu_si512(ones + w);
-        const __m512i vx = _mm512_loadu_si512(x + w);
-        const __m512i y = load_y<Fused>(ya, yb, w);
-        const __m512i twos_b = csa_carry(o, vx, y);
-        _mm512_storeu_si512(ones + w, csa_sum(o, vx, y));
-        const __m512i t = _mm512_loadu_si512(twos + w);
-        const __m512i ta = _mm512_loadu_si512(twos_a + w);
-        _mm512_storeu_si512(fours_a + w, csa_carry(t, ta, twos_b));
-        _mm512_storeu_si512(twos + w, csa_sum(t, ta, twos_b));
-    }
-    for (; w < n; ++w) {
-        const Word y = Fused ? ya[w] ^ yb[w] : ya[w];
-        const Word u = ones[w] ^ x[w];
-        const Word twos_b = (ones[w] & x[w]) | (u & y);
-        ones[w] = u ^ y;
-        const Word u2 = twos[w] ^ twos_a[w];
-        fours_a[w] = (twos[w] & twos_a[w]) | (u2 & twos_b);
-        twos[w] = u2 ^ twos_b;
-    }
-}
-
-void csa_quad(Word* ones, Word* twos, const Word* twos_a, Word* fours_a, const Word* x,
-              const Word* ya, const Word* yb, std::size_t n) noexcept {
-    yb == nullptr ? csa_quad_impl<false>(ones, twos, twos_a, fours_a, x, ya, yb, n)
-                  : csa_quad_impl<true>(ones, twos, twos_a, fours_a, x, ya, yb, n);
-}
-
-template <bool Fused>
-void csa_oct_impl(Word* ones, Word* twos, const Word* twos_a, Word* fours, const Word* fours_a,
-                  Word* carry_out, const Word* x, const Word* ya, const Word* yb,
-                  std::size_t n) noexcept {
-    std::size_t w = 0;
-    for (; w + 8 <= n; w += 8) {
-        const __m512i o = _mm512_loadu_si512(ones + w);
-        const __m512i vx = _mm512_loadu_si512(x + w);
-        const __m512i y = load_y<Fused>(ya, yb, w);
-        const __m512i twos_b = csa_carry(o, vx, y);
-        _mm512_storeu_si512(ones + w, csa_sum(o, vx, y));
-        const __m512i t = _mm512_loadu_si512(twos + w);
-        const __m512i ta = _mm512_loadu_si512(twos_a + w);
-        const __m512i fours_b = csa_carry(t, ta, twos_b);
-        _mm512_storeu_si512(twos + w, csa_sum(t, ta, twos_b));
-        const __m512i f = _mm512_loadu_si512(fours + w);
-        const __m512i fa = _mm512_loadu_si512(fours_a + w);
-        _mm512_storeu_si512(carry_out + w, csa_carry(f, fa, fours_b));
-        _mm512_storeu_si512(fours + w, csa_sum(f, fa, fours_b));
-    }
-    for (; w < n; ++w) {
-        const Word y = Fused ? ya[w] ^ yb[w] : ya[w];
-        const Word u = ones[w] ^ x[w];
-        const Word twos_b = (ones[w] & x[w]) | (u & y);
-        ones[w] = u ^ y;
-        const Word u2 = twos[w] ^ twos_a[w];
-        const Word fours_b = (twos[w] & twos_a[w]) | (u2 & twos_b);
-        twos[w] = u2 ^ twos_b;
-        const Word u3 = fours[w] ^ fours_a[w];
-        carry_out[w] = (fours[w] & fours_a[w]) | (u3 & fours_b);
-        fours[w] = u3 ^ fours_b;
-    }
-}
-
-void csa_oct(Word* ones, Word* twos, const Word* twos_a, Word* fours, const Word* fours_a,
-             Word* carry_out, const Word* x, const Word* ya, const Word* yb,
-             std::size_t n) noexcept {
-    yb == nullptr
-        ? csa_oct_impl<false>(ones, twos, twos_a, fours, fours_a, carry_out, x, ya, yb, n)
-        : csa_oct_impl<true>(ones, twos, twos_a, fours, fours_a, carry_out, x, ya, yb, n);
-}
-
-/// 16-lane variant of the AVX2 dense unpack: four int32 vectors cover the
-/// 64 columns of a word.
-void unpack_planes(const Word* planes, std::size_t n_words, std::size_t n_planes,
-                   std::int32_t* accumulator) noexcept {
-    const __m512i one = _mm512_set1_epi32(1);
-    const __m512i lane_shift =
-        _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15);
-    const __m512i lane_shift_hi = _mm512_add_epi32(lane_shift, _mm512_set1_epi32(16));
-    for (std::size_t w = 0; w < n_words; ++w) {
-        const Word* plane = planes + w * n_planes;
-        __m512i counts[4];
-        for (int v = 0; v < 4; ++v) counts[v] = _mm512_setzero_si512();
-        for (std::size_t p = 0; p < n_planes; ++p) {
-            const Word word = plane[p];
-            if (word == 0) continue;
-            const __m512i lo = _mm512_set1_epi32(static_cast<std::int32_t>(word));
-            const __m512i hi = _mm512_set1_epi32(static_cast<std::int32_t>(word >> 32));
-            const unsigned weight_shift = static_cast<unsigned>(p);
-            counts[0] = _mm512_add_epi32(
-                counts[0], _mm512_slli_epi32(
-                               _mm512_and_si512(_mm512_srlv_epi32(lo, lane_shift), one),
-                               weight_shift));
-            counts[1] = _mm512_add_epi32(
-                counts[1], _mm512_slli_epi32(
-                               _mm512_and_si512(_mm512_srlv_epi32(lo, lane_shift_hi), one),
-                               weight_shift));
-            counts[2] = _mm512_add_epi32(
-                counts[2], _mm512_slli_epi32(
-                               _mm512_and_si512(_mm512_srlv_epi32(hi, lane_shift), one),
-                               weight_shift));
-            counts[3] = _mm512_add_epi32(
-                counts[3], _mm512_slli_epi32(
-                               _mm512_and_si512(_mm512_srlv_epi32(hi, lane_shift_hi), one),
-                               weight_shift));
-        }
-        std::int32_t* out = accumulator + w * 64;
-        for (int v = 0; v < 4; ++v) {
-            std::int32_t* slot = out + v * 16;
-            _mm512_storeu_si512(slot,
-                                _mm512_add_epi32(_mm512_loadu_si512(slot), counts[v]));
-        }
-    }
-}
-
-void csa_rows(Word* ones, Word* twos, Word* fours, Word* carry_out, const Word* const* rows,
-              std::size_t n) noexcept {
-    const Word* r0 = rows[0];
-    const Word* r1 = rows[1];
-    const Word* r2 = rows[2];
-    const Word* r3 = rows[3];
-    const Word* r4 = rows[4];
-    const Word* r5 = rows[5];
-    const Word* r6 = rows[6];
-    const Word* r7 = rows[7];
-    std::size_t w = 0;
-    for (; w + 8 <= n; w += 8) {
-        // Same dataflow as the scalar csa_rows_words tree; every CSA is one
-        // vpternlogq pair.
-        __m512i o = _mm512_loadu_si512(ones + w);
-        const __m512i x0 = _mm512_loadu_si512(r0 + w);
-        const __m512i x1 = _mm512_loadu_si512(r1 + w);
-        const __m512i twos_a = csa_carry(o, x0, x1);
-        o = csa_sum(o, x0, x1);
-        const __m512i x2 = _mm512_loadu_si512(r2 + w);
-        const __m512i x3 = _mm512_loadu_si512(r3 + w);
-        const __m512i twos_b = csa_carry(o, x2, x3);
-        o = csa_sum(o, x2, x3);
-        __m512i t = _mm512_loadu_si512(twos + w);
-        const __m512i fours_a = csa_carry(t, twos_a, twos_b);
-        t = csa_sum(t, twos_a, twos_b);
-        const __m512i x4 = _mm512_loadu_si512(r4 + w);
-        const __m512i x5 = _mm512_loadu_si512(r5 + w);
-        const __m512i twos_c = csa_carry(o, x4, x5);
-        o = csa_sum(o, x4, x5);
-        const __m512i x6 = _mm512_loadu_si512(r6 + w);
-        const __m512i x7 = _mm512_loadu_si512(r7 + w);
-        const __m512i twos_d = csa_carry(o, x6, x7);
-        o = csa_sum(o, x6, x7);
-        const __m512i fours_b = csa_carry(t, twos_c, twos_d);
-        t = csa_sum(t, twos_c, twos_d);
-        const __m512i f = _mm512_loadu_si512(fours + w);
-        _mm512_storeu_si512(carry_out + w, csa_carry(f, fours_a, fours_b));
-        _mm512_storeu_si512(fours + w, csa_sum(f, fours_a, fours_b));
-        _mm512_storeu_si512(ones + w, o);
-        _mm512_storeu_si512(twos + w, t);
-    }
-    detail::csa_rows_words(ones, twos, fours, carry_out, rows, w, n);
-}
-
-template <bool Fused>
 __m512i load_row(const Word* const* rows_a, const Word* const* rows_b, std::size_t r,
                  std::size_t w) noexcept {
     const __m512i a = _mm512_loadu_si512(rows_a[r] + w);
     if constexpr (!Fused) return a;
     return _mm512_xor_si512(a, _mm512_loadu_si512(rows_b[r] + w));
+}
+
+/// The Harley–Seal block shared by column_counts and fused_hamming_scores:
+/// leaves in planes[0, n_planes) the bit-sliced counts of the eight words
+/// at `w` over the n_rows rows.  n_planes + ones/twos/fours + CSA temps
+/// stay within the 32-register file up to ~1k rows (see DESIGN.md §11).
+/// Forced inline, with the planes passed as a 16-element array: GCC then
+/// sees the bound, peels the plane loops completely and keeps the planes
+/// in registers.  Through a pointer they stay in memory, which measured
+/// ~10% slower on the fused MNIST-shape predict.
+template <bool Fused>
+[[gnu::always_inline]] inline void count_planes(const Word* const* rows_a,
+                                                const Word* const* rows_b, std::size_t n_rows,
+                                                std::size_t n_planes, std::size_t w,
+                                                __m512i (&planes)[16]) noexcept {
+    for (std::size_t p = 0; p < n_planes; ++p) planes[p] = _mm512_setzero_si512();
+    __m512i ones = _mm512_setzero_si512();
+    __m512i twos = _mm512_setzero_si512();
+    __m512i fours = _mm512_setzero_si512();
+    std::size_t r = 0;
+    for (; r + 8 <= n_rows; r += 8) {
+        const __m512i x0 = load_row<Fused>(rows_a, rows_b, r + 0, w);
+        const __m512i x1 = load_row<Fused>(rows_a, rows_b, r + 1, w);
+        const __m512i twos_a = csa_carry(ones, x0, x1);
+        ones = csa_sum(ones, x0, x1);
+        const __m512i x2 = load_row<Fused>(rows_a, rows_b, r + 2, w);
+        const __m512i x3 = load_row<Fused>(rows_a, rows_b, r + 3, w);
+        const __m512i twos_b = csa_carry(ones, x2, x3);
+        ones = csa_sum(ones, x2, x3);
+        const __m512i fours_a = csa_carry(twos, twos_a, twos_b);
+        twos = csa_sum(twos, twos_a, twos_b);
+        const __m512i x4 = load_row<Fused>(rows_a, rows_b, r + 4, w);
+        const __m512i x5 = load_row<Fused>(rows_a, rows_b, r + 5, w);
+        const __m512i twos_c = csa_carry(ones, x4, x5);
+        ones = csa_sum(ones, x4, x5);
+        const __m512i x6 = load_row<Fused>(rows_a, rows_b, r + 6, w);
+        const __m512i x7 = load_row<Fused>(rows_a, rows_b, r + 7, w);
+        const __m512i twos_d = csa_carry(ones, x6, x7);
+        ones = csa_sum(ones, x6, x7);
+        const __m512i fours_b = csa_carry(twos, twos_c, twos_d);
+        twos = csa_sum(twos, twos_c, twos_d);
+        __m512i carry = csa_carry(fours, fours_a, fours_b);
+        fours = csa_sum(fours, fours_a, fours_b);
+        for (std::size_t p = 3; p < n_planes; ++p) {
+            const __m512i sum = _mm512_xor_si512(planes[p], carry);
+            carry = _mm512_and_si512(planes[p], carry);
+            planes[p] = sum;
+        }
+    }
+    for (; r < n_rows; ++r) {
+        const __m512i x = load_row<Fused>(rows_a, rows_b, r, w);
+        __m512i carry = _mm512_and_si512(ones, x);
+        ones = _mm512_xor_si512(ones, x);
+        const __m512i c2 = _mm512_and_si512(twos, carry);
+        twos = _mm512_xor_si512(twos, carry);
+        carry = _mm512_and_si512(fours, c2);
+        fours = _mm512_xor_si512(fours, c2);
+        for (std::size_t p = 3; p < n_planes; ++p) {
+            const __m512i sum = _mm512_xor_si512(planes[p], carry);
+            carry = _mm512_and_si512(planes[p], carry);
+            planes[p] = sum;
+        }
+    }
+    const __m512i carries[3] = {ones, twos, fours};
+    for (std::size_t start = 0; start < 3; ++start) {
+        __m512i carry = carries[start];
+        for (std::size_t p = start; p < n_planes; ++p) {
+            const __m512i sum = _mm512_xor_si512(planes[p], carry);
+            carry = _mm512_and_si512(planes[p], carry);
+            planes[p] = sum;
+        }
+    }
+}
+
+/// Adds one block's 512 column counts onto counts[0, 512).  Each 32-column
+/// half-word of plane p is an AVX-512BW lane mask adding 2^p into 16-bit
+/// lanes (counts fit 16 bits, see kMaxFusedRows); the 16-bit sums then
+/// widen to int32.
+[[gnu::always_inline]] inline void add_block_counts(const __m512i (&planes)[16],
+                                                   std::size_t n_planes,
+                                                   std::int32_t* counts) noexcept {
+    alignas(64) Word words[16][8];
+    for (std::size_t p = 0; p < n_planes; ++p) _mm512_store_si512(words[p], planes[p]);
+    for (std::size_t k = 0; k < 8; ++k) {
+        for (std::size_t half = 0; half < 2; ++half) {
+            __m512i sum = _mm512_setzero_si512();
+            for (std::size_t p = 0; p < n_planes; ++p) {
+                const auto lanes = static_cast<__mmask32>(words[p][k] >> (32 * half));
+                sum = _mm512_mask_add_epi16(sum, lanes, sum,
+                                            _mm512_set1_epi16(static_cast<short>(1u << p)));
+            }
+            std::int32_t* out = counts + k * 64 + half * 32;
+            const __m512i lo = _mm512_cvtepu16_epi32(_mm512_castsi512_si256(sum));
+            const __m512i hi = _mm512_cvtepu16_epi32(_mm512_extracti64x4_epi64(sum, 1));
+            _mm512_storeu_si512(out, _mm512_add_epi32(_mm512_loadu_si512(out), lo));
+            _mm512_storeu_si512(out + 16, _mm512_add_epi32(_mm512_loadu_si512(out + 16), hi));
+        }
+    }
+}
+
+template <bool Fused>
+void column_counts_impl(const Word* const* rows_a, const Word* const* rows_b, std::size_t n_rows,
+                        std::size_t n_bits, std::int32_t* counts) noexcept {
+    const auto n_planes = static_cast<std::size_t>(64 - __builtin_clzll(n_rows));
+    // Vector blocks cover whole words only; the partial last word, whose
+    // columns past n_bits have no count slot, goes through the scalar tail.
+    const std::size_t full_words = n_bits / 64;
+    std::size_t w = 0;
+    for (; w + 8 <= full_words; w += 8) {
+        __m512i planes[16];
+        count_planes<Fused>(rows_a, rows_b, n_rows, n_planes, w, planes);
+        add_block_counts(planes, n_planes, counts + w * 64);
+    }
+    detail::column_counts_words(rows_a, rows_b, n_rows, w, n_bits, counts);
+}
+
+void column_counts(const Word* const* rows_a, const Word* const* rows_b, std::size_t n_rows,
+                   std::size_t n_bits, std::int32_t* counts) noexcept {
+    if (n_rows == 0) return;
+    rows_b == nullptr ? column_counts_impl<false>(rows_a, rows_b, n_rows, n_bits, counts)
+                      : column_counts_impl<true>(rows_a, rows_b, n_rows, n_bits, counts);
 }
 
 template <bool Fused>
@@ -285,67 +212,8 @@ void fused_hamming_scores_impl(const Word* const* rows_a, const Word* const* row
     const bool can_tie = (n_rows % 2) == 0 && ties != nullptr;
     std::size_t w = 0;
     for (; w + 8 <= n_words; w += 8) {
-        // Per eight-word block the count planes live in zmm registers/L1:
-        // n_planes + ones/twos/fours + CSA temps stays within the 32-register
-        // file up to ~1k rows (see DESIGN.md register pressure math).
         __m512i planes[16];
-        for (std::size_t p = 0; p < n_planes; ++p) planes[p] = _mm512_setzero_si512();
-        __m512i ones = _mm512_setzero_si512();
-        __m512i twos = _mm512_setzero_si512();
-        __m512i fours = _mm512_setzero_si512();
-        std::size_t r = 0;
-        for (; r + 8 <= n_rows; r += 8) {
-            const __m512i x0 = load_row<Fused>(rows_a, rows_b, r + 0, w);
-            const __m512i x1 = load_row<Fused>(rows_a, rows_b, r + 1, w);
-            const __m512i twos_a = csa_carry(ones, x0, x1);
-            ones = csa_sum(ones, x0, x1);
-            const __m512i x2 = load_row<Fused>(rows_a, rows_b, r + 2, w);
-            const __m512i x3 = load_row<Fused>(rows_a, rows_b, r + 3, w);
-            const __m512i twos_b = csa_carry(ones, x2, x3);
-            ones = csa_sum(ones, x2, x3);
-            const __m512i fours_a = csa_carry(twos, twos_a, twos_b);
-            twos = csa_sum(twos, twos_a, twos_b);
-            const __m512i x4 = load_row<Fused>(rows_a, rows_b, r + 4, w);
-            const __m512i x5 = load_row<Fused>(rows_a, rows_b, r + 5, w);
-            const __m512i twos_c = csa_carry(ones, x4, x5);
-            ones = csa_sum(ones, x4, x5);
-            const __m512i x6 = load_row<Fused>(rows_a, rows_b, r + 6, w);
-            const __m512i x7 = load_row<Fused>(rows_a, rows_b, r + 7, w);
-            const __m512i twos_d = csa_carry(ones, x6, x7);
-            ones = csa_sum(ones, x6, x7);
-            const __m512i fours_b = csa_carry(twos, twos_c, twos_d);
-            twos = csa_sum(twos, twos_c, twos_d);
-            __m512i carry = csa_carry(fours, fours_a, fours_b);
-            fours = csa_sum(fours, fours_a, fours_b);
-            for (std::size_t p = 3; p < n_planes; ++p) {
-                const __m512i sum = _mm512_xor_si512(planes[p], carry);
-                carry = _mm512_and_si512(planes[p], carry);
-                planes[p] = sum;
-            }
-        }
-        for (; r < n_rows; ++r) {
-            const __m512i x = load_row<Fused>(rows_a, rows_b, r, w);
-            __m512i carry = _mm512_and_si512(ones, x);
-            ones = _mm512_xor_si512(ones, x);
-            const __m512i c2 = _mm512_and_si512(twos, carry);
-            twos = _mm512_xor_si512(twos, carry);
-            carry = _mm512_and_si512(fours, c2);
-            fours = _mm512_xor_si512(fours, c2);
-            for (std::size_t p = 3; p < n_planes; ++p) {
-                const __m512i sum = _mm512_xor_si512(planes[p], carry);
-                carry = _mm512_and_si512(planes[p], carry);
-                planes[p] = sum;
-            }
-        }
-        __m512i carries[3] = {ones, twos, fours};
-        for (std::size_t start = 0; start < 3; ++start) {
-            __m512i carry = carries[start];
-            for (std::size_t p = start; p < n_planes; ++p) {
-                const __m512i sum = _mm512_xor_si512(planes[p], carry);
-                carry = _mm512_and_si512(planes[p], carry);
-                planes[p] = sum;
-            }
-        }
+        count_planes<Fused>(rows_a, rows_b, n_rows, n_planes, w, planes);
         // Bit-sliced count > / == threshold, MSB plane first.
         __m512i gt = _mm512_setzero_si512();
         __m512i eq = _mm512_set1_epi64(-1);
@@ -391,9 +259,53 @@ void fused_hamming_scores(const Word* const* rows_a, const Word* const* rows_b,
                                           n_words, ties, tie_ctx, distances);
 }
 
+/// dots[g] = query . rows[g] for G rows in one pass over the query.  vpmuldq
+/// multiplies the signed low halves of the 64-bit lanes, so each 16-lane
+/// step takes the even int32 lanes directly and the odd ones after a 32-bit
+/// shift: exact int64 products, summed in wrapping int64 lanes.
+template <std::size_t G>
+void dot_group(const std::int32_t* query, const std::int32_t* const* rows, std::size_t n,
+               std::int64_t* dots) noexcept {
+    __m512i even[G];
+    __m512i odd[G];
+    for (std::size_t g = 0; g < G; ++g) even[g] = odd[g] = _mm512_setzero_si512();
+    std::size_t i = 0;
+    for (; i + 16 <= n; i += 16) {
+        const __m512i q = _mm512_loadu_si512(query + i);
+        const __m512i q_odd = _mm512_srli_epi64(q, 32);
+        for (std::size_t g = 0; g < G; ++g) {
+            const __m512i v = _mm512_loadu_si512(rows[g] + i);
+            even[g] = _mm512_add_epi64(even[g], _mm512_mul_epi32(q, v));
+            odd[g] = _mm512_add_epi64(odd[g], _mm512_mul_epi32(q_odd, _mm512_srli_epi64(v, 32)));
+        }
+    }
+    for (std::size_t g = 0; g < G; ++g) {
+        // Reduced through unsigned lanes: the sum may wrap, and the header's
+        // _mm512_reduce_add_epi64 adds signed lanes in C++.
+        alignas(64) std::uint64_t lanes[8];
+        _mm512_store_si512(lanes, _mm512_add_epi64(even[g], odd[g]));
+        std::uint64_t sum = 0;
+        for (const std::uint64_t lane : lanes) sum += lane;
+        for (std::size_t t = i; t < n; ++t) {
+            sum += static_cast<std::uint64_t>(static_cast<std::int64_t>(query[t]) * rows[g][t]);
+        }
+        dots[g] = static_cast<std::int64_t>(sum);
+    }
+}
+
+std::int64_t dot_scores(const std::int32_t* query, const std::int32_t* const* class_rows,
+                        std::size_t n_classes, std::size_t n, std::int64_t* dots) noexcept {
+    std::size_t c = 0;
+    for (; c + 8 <= n_classes; c += 8) dot_group<8>(query, class_rows + c, n, dots + c);
+    for (; c < n_classes; ++c) dot_group<1>(query, class_rows + c, n, dots + c);
+    std::int64_t query_sq = 0;
+    dot_group<1>(query, &query, n, &query_sq);
+    return query_sq;
+}
+
 constexpr KernelBackend kBackend{
-    Backend::avx512, "avx512",  &xor_into, &popcount,      &hamming,   &csa_pair,
-    &csa_quad,       &csa_oct,  &unpack_planes, &csa_rows, &fused_hamming_scores,
+    Backend::avx512, "avx512",       &xor_into,          &popcount,
+    &hamming,        &column_counts, &fused_hamming_scores, &dot_scores,
 };
 
 }  // namespace

@@ -1,8 +1,8 @@
 /// \file kernels_neon.cpp
 /// The ARM NEON (Advanced SIMD) kernel backend: 128-bit words, vcntq_u8 +
 /// the vpaddlq widening chain for population counts, veor/vand/vorr for the
-/// carry-save steps, and vshlq_u32 with negative shift counts for the dense
-/// plane unpack.
+/// carry-save steps, vtstq_u8 byte masks for the count-plane unpack, and
+/// vmlal_s32 for exact int64 dot products.
 ///
 /// Advanced SIMD is architecturally baseline on AArch64, so unlike the x86
 /// TUs this file needs no per-file -m flags — it simply self-gates on
@@ -67,200 +67,150 @@ uint64x2_t csa_carry(uint64x2_t a, uint64x2_t b, uint64x2_t c) noexcept {
     return vorrq_u64(vandq_u64(a, b), vandq_u64(veorq_u64(a, b), c));
 }
 
-/// Loads the row operand: ya[w..w+2) or the fused bind ya ^ yb.
-template <bool Fused>
-uint64x2_t load_y(const Word* ya, const Word* yb, std::size_t w) noexcept {
-    const uint64x2_t a = vld1q_u64(ya + w);
-    if constexpr (!Fused) return a;
-    return veorq_u64(a, vld1q_u64(yb + w));
-}
-
-template <bool Fused>
-void csa_pair_impl(Word* ones, Word* carry, const Word* x, const Word* ya, const Word* yb,
-                   std::size_t n) noexcept {
-    std::size_t w = 0;
-    for (; w + 2 <= n; w += 2) {
-        const uint64x2_t o = vld1q_u64(ones + w);
-        const uint64x2_t vx = vld1q_u64(x + w);
-        const uint64x2_t y = load_y<Fused>(ya, yb, w);
-        vst1q_u64(carry + w, csa_carry(o, vx, y));
-        vst1q_u64(ones + w, csa_sum(o, vx, y));
-    }
-    for (; w < n; ++w) {
-        const Word y = Fused ? ya[w] ^ yb[w] : ya[w];
-        const Word u = ones[w] ^ x[w];
-        carry[w] = (ones[w] & x[w]) | (u & y);
-        ones[w] = u ^ y;
-    }
-}
-
-void csa_pair(Word* ones, Word* carry, const Word* x, const Word* ya, const Word* yb,
-              std::size_t n) noexcept {
-    yb == nullptr ? csa_pair_impl<false>(ones, carry, x, ya, yb, n)
-                  : csa_pair_impl<true>(ones, carry, x, ya, yb, n);
-}
-
-template <bool Fused>
-void csa_quad_impl(Word* ones, Word* twos, const Word* twos_a, Word* fours_a, const Word* x,
-                   const Word* ya, const Word* yb, std::size_t n) noexcept {
-    std::size_t w = 0;
-    for (; w + 2 <= n; w += 2) {
-        const uint64x2_t o = vld1q_u64(ones + w);
-        const uint64x2_t vx = vld1q_u64(x + w);
-        const uint64x2_t y = load_y<Fused>(ya, yb, w);
-        const uint64x2_t twos_b = csa_carry(o, vx, y);
-        vst1q_u64(ones + w, csa_sum(o, vx, y));
-        const uint64x2_t t = vld1q_u64(twos + w);
-        const uint64x2_t ta = vld1q_u64(twos_a + w);
-        vst1q_u64(fours_a + w, csa_carry(t, ta, twos_b));
-        vst1q_u64(twos + w, csa_sum(t, ta, twos_b));
-    }
-    for (; w < n; ++w) {
-        const Word y = Fused ? ya[w] ^ yb[w] : ya[w];
-        const Word u = ones[w] ^ x[w];
-        const Word twos_b = (ones[w] & x[w]) | (u & y);
-        ones[w] = u ^ y;
-        const Word u2 = twos[w] ^ twos_a[w];
-        fours_a[w] = (twos[w] & twos_a[w]) | (u2 & twos_b);
-        twos[w] = u2 ^ twos_b;
-    }
-}
-
-void csa_quad(Word* ones, Word* twos, const Word* twos_a, Word* fours_a, const Word* x,
-              const Word* ya, const Word* yb, std::size_t n) noexcept {
-    yb == nullptr ? csa_quad_impl<false>(ones, twos, twos_a, fours_a, x, ya, yb, n)
-                  : csa_quad_impl<true>(ones, twos, twos_a, fours_a, x, ya, yb, n);
-}
-
-template <bool Fused>
-void csa_oct_impl(Word* ones, Word* twos, const Word* twos_a, Word* fours, const Word* fours_a,
-                  Word* carry_out, const Word* x, const Word* ya, const Word* yb,
-                  std::size_t n) noexcept {
-    std::size_t w = 0;
-    for (; w + 2 <= n; w += 2) {
-        const uint64x2_t o = vld1q_u64(ones + w);
-        const uint64x2_t vx = vld1q_u64(x + w);
-        const uint64x2_t y = load_y<Fused>(ya, yb, w);
-        const uint64x2_t twos_b = csa_carry(o, vx, y);
-        vst1q_u64(ones + w, csa_sum(o, vx, y));
-        const uint64x2_t t = vld1q_u64(twos + w);
-        const uint64x2_t ta = vld1q_u64(twos_a + w);
-        const uint64x2_t fours_b = csa_carry(t, ta, twos_b);
-        vst1q_u64(twos + w, csa_sum(t, ta, twos_b));
-        const uint64x2_t f = vld1q_u64(fours + w);
-        const uint64x2_t fa = vld1q_u64(fours_a + w);
-        vst1q_u64(carry_out + w, csa_carry(f, fa, fours_b));
-        vst1q_u64(fours + w, csa_sum(f, fa, fours_b));
-    }
-    for (; w < n; ++w) {
-        const Word y = Fused ? ya[w] ^ yb[w] : ya[w];
-        const Word u = ones[w] ^ x[w];
-        const Word twos_b = (ones[w] & x[w]) | (u & y);
-        ones[w] = u ^ y;
-        const Word u2 = twos[w] ^ twos_a[w];
-        const Word fours_b = (twos[w] & twos_a[w]) | (u2 & twos_b);
-        twos[w] = u2 ^ twos_b;
-        const Word u3 = fours[w] ^ fours_a[w];
-        carry_out[w] = (fours[w] & fours_a[w]) | (u3 & fours_b);
-        fours[w] = u3 ^ fours_b;
-    }
-}
-
-void csa_oct(Word* ones, Word* twos, const Word* twos_a, Word* fours, const Word* fours_a,
-             Word* carry_out, const Word* x, const Word* ya, const Word* yb,
-             std::size_t n) noexcept {
-    yb == nullptr
-        ? csa_oct_impl<false>(ones, twos, twos_a, fours, fours_a, carry_out, x, ya, yb, n)
-        : csa_oct_impl<true>(ones, twos, twos_a, fours, fours_a, carry_out, x, ya, yb, n);
-}
-
-/// Dense plane unpack, the 4-lane analogue of the AVX2 srlv scheme: spread
-/// each plane word across sixteen int32x4 vectors with vshlq_u32 negative
-/// (= right) shifts, mask to the bit, weight by the plane, accumulate.
-void unpack_planes(const Word* planes, std::size_t n_words, std::size_t n_planes,
-                   std::int32_t* accumulator) noexcept {
-    const uint32x4_t one = vdupq_n_u32(1);
-    int32x4_t shifts[8];
-    for (int v = 0; v < 8; ++v) {
-        const std::int32_t lanes[4] = {-(v * 4 + 0), -(v * 4 + 1), -(v * 4 + 2), -(v * 4 + 3)};
-        shifts[v] = vld1q_s32(lanes);
-    }
-    for (std::size_t w = 0; w < n_words; ++w) {
-        const Word* plane = planes + w * n_planes;
-        int32x4_t counts[16];
-        for (int v = 0; v < 16; ++v) counts[v] = vdupq_n_s32(0);
-        for (std::size_t p = 0; p < n_planes; ++p) {
-            const Word word = plane[p];
-            if (word == 0) continue;
-            const uint32x4_t lo = vdupq_n_u32(static_cast<std::uint32_t>(word));
-            const uint32x4_t hi = vdupq_n_u32(static_cast<std::uint32_t>(word >> 32));
-            const int32x4_t weight_shift = vdupq_n_s32(static_cast<std::int32_t>(p));
-            for (int v = 0; v < 8; ++v) {
-                const uint32x4_t bits_lo = vandq_u32(vshlq_u32(lo, shifts[v]), one);
-                const uint32x4_t bits_hi = vandq_u32(vshlq_u32(hi, shifts[v]), one);
-                counts[v] = vaddq_s32(
-                    counts[v], vreinterpretq_s32_u32(vshlq_u32(bits_lo, weight_shift)));
-                counts[v + 8] = vaddq_s32(
-                    counts[v + 8], vreinterpretq_s32_u32(vshlq_u32(bits_hi, weight_shift)));
-            }
-        }
-        std::int32_t* out = accumulator + w * 64;
-        for (int v = 0; v < 16; ++v) {
-            vst1q_s32(out + v * 4, vaddq_s32(vld1q_s32(out + v * 4), counts[v]));
-        }
-    }
-}
-
-void csa_rows(Word* ones, Word* twos, Word* fours, Word* carry_out, const Word* const* rows,
-              std::size_t n) noexcept {
-    const Word* r0 = rows[0];
-    const Word* r1 = rows[1];
-    const Word* r2 = rows[2];
-    const Word* r3 = rows[3];
-    const Word* r4 = rows[4];
-    const Word* r5 = rows[5];
-    const Word* r6 = rows[6];
-    const Word* r7 = rows[7];
-    std::size_t w = 0;
-    for (; w + 2 <= n; w += 2) {
-        // Same dataflow as the scalar csa_rows_words tree.
-        uint64x2_t o = vld1q_u64(ones + w);
-        const uint64x2_t x0 = vld1q_u64(r0 + w);
-        const uint64x2_t x1 = vld1q_u64(r1 + w);
-        const uint64x2_t twos_a = csa_carry(o, x0, x1);
-        o = csa_sum(o, x0, x1);
-        const uint64x2_t x2 = vld1q_u64(r2 + w);
-        const uint64x2_t x3 = vld1q_u64(r3 + w);
-        const uint64x2_t twos_b = csa_carry(o, x2, x3);
-        o = csa_sum(o, x2, x3);
-        uint64x2_t t = vld1q_u64(twos + w);
-        const uint64x2_t fours_a = csa_carry(t, twos_a, twos_b);
-        t = csa_sum(t, twos_a, twos_b);
-        const uint64x2_t x4 = vld1q_u64(r4 + w);
-        const uint64x2_t x5 = vld1q_u64(r5 + w);
-        const uint64x2_t twos_c = csa_carry(o, x4, x5);
-        o = csa_sum(o, x4, x5);
-        const uint64x2_t x6 = vld1q_u64(r6 + w);
-        const uint64x2_t x7 = vld1q_u64(r7 + w);
-        const uint64x2_t twos_d = csa_carry(o, x6, x7);
-        o = csa_sum(o, x6, x7);
-        const uint64x2_t fours_b = csa_carry(t, twos_c, twos_d);
-        t = csa_sum(t, twos_c, twos_d);
-        const uint64x2_t f = vld1q_u64(fours + w);
-        vst1q_u64(carry_out + w, csa_carry(f, fours_a, fours_b));
-        vst1q_u64(fours + w, csa_sum(f, fours_a, fours_b));
-        vst1q_u64(ones + w, o);
-        vst1q_u64(twos + w, t);
-    }
-    detail::csa_rows_words(ones, twos, fours, carry_out, rows, w, n);
-}
-
 template <bool Fused>
 uint64x2_t load_row(const Word* const* rows_a, const Word* const* rows_b, std::size_t r,
                     std::size_t w) noexcept {
     const uint64x2_t a = vld1q_u64(rows_a[r] + w);
     if constexpr (!Fused) return a;
     return veorq_u64(a, vld1q_u64(rows_b[r] + w));
+}
+
+/// The Harley–Seal block shared by column_counts and fused_hamming_scores:
+/// leaves in planes[0, n_planes) the bit-sliced counts of the two words at
+/// `w` over the n_rows rows.  Up to 16 count planes + ones/twos/fours + CSA
+/// temps fit the 32-register NEON file.
+/// Forced inline with the planes as a 16-element array so the compiler
+/// sees the plane bound (see kernels_avx512.cpp).
+template <bool Fused>
+[[gnu::always_inline]] inline void count_planes(const Word* const* rows_a,
+                                                const Word* const* rows_b, std::size_t n_rows,
+                                                std::size_t n_planes, std::size_t w,
+                                                uint64x2_t (&planes)[16]) noexcept {
+    for (std::size_t p = 0; p < n_planes; ++p) planes[p] = vdupq_n_u64(0);
+    uint64x2_t ones = vdupq_n_u64(0);
+    uint64x2_t twos = vdupq_n_u64(0);
+    uint64x2_t fours = vdupq_n_u64(0);
+    std::size_t r = 0;
+    for (; r + 8 <= n_rows; r += 8) {
+        const uint64x2_t x0 = load_row<Fused>(rows_a, rows_b, r + 0, w);
+        const uint64x2_t x1 = load_row<Fused>(rows_a, rows_b, r + 1, w);
+        const uint64x2_t twos_a = csa_carry(ones, x0, x1);
+        ones = csa_sum(ones, x0, x1);
+        const uint64x2_t x2 = load_row<Fused>(rows_a, rows_b, r + 2, w);
+        const uint64x2_t x3 = load_row<Fused>(rows_a, rows_b, r + 3, w);
+        const uint64x2_t twos_b = csa_carry(ones, x2, x3);
+        ones = csa_sum(ones, x2, x3);
+        const uint64x2_t fours_a = csa_carry(twos, twos_a, twos_b);
+        twos = csa_sum(twos, twos_a, twos_b);
+        const uint64x2_t x4 = load_row<Fused>(rows_a, rows_b, r + 4, w);
+        const uint64x2_t x5 = load_row<Fused>(rows_a, rows_b, r + 5, w);
+        const uint64x2_t twos_c = csa_carry(ones, x4, x5);
+        ones = csa_sum(ones, x4, x5);
+        const uint64x2_t x6 = load_row<Fused>(rows_a, rows_b, r + 6, w);
+        const uint64x2_t x7 = load_row<Fused>(rows_a, rows_b, r + 7, w);
+        const uint64x2_t twos_d = csa_carry(ones, x6, x7);
+        ones = csa_sum(ones, x6, x7);
+        const uint64x2_t fours_b = csa_carry(twos, twos_c, twos_d);
+        twos = csa_sum(twos, twos_c, twos_d);
+        uint64x2_t carry = csa_carry(fours, fours_a, fours_b);
+        fours = csa_sum(fours, fours_a, fours_b);
+        for (std::size_t p = 3; p < n_planes; ++p) {
+            const uint64x2_t sum = veorq_u64(planes[p], carry);
+            carry = vandq_u64(planes[p], carry);
+            planes[p] = sum;
+        }
+    }
+    for (; r < n_rows; ++r) {
+        const uint64x2_t x = load_row<Fused>(rows_a, rows_b, r, w);
+        uint64x2_t carry = vandq_u64(ones, x);
+        ones = veorq_u64(ones, x);
+        const uint64x2_t c2 = vandq_u64(twos, carry);
+        twos = veorq_u64(twos, carry);
+        carry = vandq_u64(fours, c2);
+        fours = veorq_u64(fours, c2);
+        for (std::size_t p = 3; p < n_planes; ++p) {
+            const uint64x2_t sum = veorq_u64(planes[p], carry);
+            carry = vandq_u64(planes[p], carry);
+            planes[p] = sum;
+        }
+    }
+    const uint64x2_t carries[3] = {ones, twos, fours};
+    for (std::size_t start = 0; start < 3; ++start) {
+        uint64x2_t carry = carries[start];
+        for (std::size_t p = start; p < n_planes; ++p) {
+            const uint64x2_t sum = veorq_u64(planes[p], carry);
+            carry = vandq_u64(planes[p], carry);
+            planes[p] = sum;
+        }
+    }
+}
+
+/// counts[0, 4) += the four uint32 lanes of v.
+void add_counts4(std::int32_t* counts, uint32x4_t v) noexcept {
+    vst1q_s32(counts, vaddq_s32(vld1q_s32(counts), vreinterpretq_s32_u32(v)));
+}
+
+/// Adds one block's 128 column counts onto counts[0, 128).  Per 16-column
+/// chunk, every plane word spreads to one byte per column (two byte
+/// broadcasts, then vtst against the per-byte bit), weighted into a low
+/// (planes 0-7) and a high (planes 8-15) byte of the count; zipping the two
+/// bytes yields 16-bit counts, which widen to int32.
+[[gnu::always_inline]] inline void add_block_counts(const uint64x2_t (&planes)[16],
+                                                   std::size_t n_planes,
+                                                   std::int32_t* counts) noexcept {
+    Word words[16][2];
+    for (std::size_t p = 0; p < n_planes; ++p) vst1q_u64(words[p], planes[p]);
+    static constexpr std::uint8_t kBits[16] = {1, 2, 4, 8, 16, 32, 64, 128,
+                                               1, 2, 4, 8, 16, 32, 64, 128};
+    const uint8x16_t bit = vld1q_u8(kBits);
+    for (std::size_t k = 0; k < 2; ++k) {
+        for (std::size_t chunk = 0; chunk < 4; ++chunk) {
+            uint8x16_t low = vdupq_n_u8(0);
+            uint8x16_t high = vdupq_n_u8(0);
+            for (std::size_t p = 0; p < n_planes; ++p) {
+                const Word bits16 = words[p][k] >> (16 * chunk);
+                const uint8x16_t x = vcombine_u8(vdup_n_u8(static_cast<std::uint8_t>(bits16)),
+                                                 vdup_n_u8(static_cast<std::uint8_t>(bits16 >> 8)));
+                const uint8x16_t weighted = vandq_u8(
+                    vtstq_u8(x, bit), vdupq_n_u8(static_cast<std::uint8_t>(1u << (p % 8))));
+                if (p < 8) {
+                    low = vorrq_u8(low, weighted);
+                } else {
+                    high = vorrq_u8(high, weighted);
+                }
+            }
+            const uint16x8_t first = vreinterpretq_u16_u8(vzip1q_u8(low, high));
+            const uint16x8_t second = vreinterpretq_u16_u8(vzip2q_u8(low, high));
+            std::int32_t* out = counts + k * 64 + chunk * 16;
+            add_counts4(out, vmovl_u16(vget_low_u16(first)));
+            add_counts4(out + 4, vmovl_u16(vget_high_u16(first)));
+            add_counts4(out + 8, vmovl_u16(vget_low_u16(second)));
+            add_counts4(out + 12, vmovl_u16(vget_high_u16(second)));
+        }
+    }
+}
+
+template <bool Fused>
+void column_counts_impl(const Word* const* rows_a, const Word* const* rows_b, std::size_t n_rows,
+                        std::size_t n_bits, std::int32_t* counts) noexcept {
+    const auto n_planes = static_cast<std::size_t>(64 - __builtin_clzll(n_rows));
+    // Vector blocks cover whole words only; the partial last word, whose
+    // columns past n_bits have no count slot, goes through the scalar tail.
+    const std::size_t full_words = n_bits / 64;
+    std::size_t w = 0;
+    for (; w + 2 <= full_words; w += 2) {
+        uint64x2_t planes[16];
+        count_planes<Fused>(rows_a, rows_b, n_rows, n_planes, w, planes);
+        add_block_counts(planes, n_planes, counts + w * 64);
+    }
+    detail::column_counts_words(rows_a, rows_b, n_rows, w, n_bits, counts);
+}
+
+void column_counts(const Word* const* rows_a, const Word* const* rows_b, std::size_t n_rows,
+                   std::size_t n_bits, std::int32_t* counts) noexcept {
+    if (n_rows == 0) return;
+    rows_b == nullptr ? column_counts_impl<false>(rows_a, rows_b, n_rows, n_bits, counts)
+                      : column_counts_impl<true>(rows_a, rows_b, n_rows, n_bits, counts);
 }
 
 template <bool Fused>
@@ -273,66 +223,8 @@ void fused_hamming_scores_impl(const Word* const* rows_a, const Word* const* row
     const bool can_tie = (n_rows % 2) == 0 && ties != nullptr;
     std::size_t w = 0;
     for (; w + 2 <= n_words; w += 2) {
-        // Per two-word block: up to 16 count planes + ones/twos/fours + CSA
-        // temps fit the 32-register NEON file.
         uint64x2_t planes[16];
-        for (std::size_t p = 0; p < n_planes; ++p) planes[p] = vdupq_n_u64(0);
-        uint64x2_t ones = vdupq_n_u64(0);
-        uint64x2_t twos = vdupq_n_u64(0);
-        uint64x2_t fours = vdupq_n_u64(0);
-        std::size_t r = 0;
-        for (; r + 8 <= n_rows; r += 8) {
-            const uint64x2_t x0 = load_row<Fused>(rows_a, rows_b, r + 0, w);
-            const uint64x2_t x1 = load_row<Fused>(rows_a, rows_b, r + 1, w);
-            const uint64x2_t twos_a = csa_carry(ones, x0, x1);
-            ones = csa_sum(ones, x0, x1);
-            const uint64x2_t x2 = load_row<Fused>(rows_a, rows_b, r + 2, w);
-            const uint64x2_t x3 = load_row<Fused>(rows_a, rows_b, r + 3, w);
-            const uint64x2_t twos_b = csa_carry(ones, x2, x3);
-            ones = csa_sum(ones, x2, x3);
-            const uint64x2_t fours_a = csa_carry(twos, twos_a, twos_b);
-            twos = csa_sum(twos, twos_a, twos_b);
-            const uint64x2_t x4 = load_row<Fused>(rows_a, rows_b, r + 4, w);
-            const uint64x2_t x5 = load_row<Fused>(rows_a, rows_b, r + 5, w);
-            const uint64x2_t twos_c = csa_carry(ones, x4, x5);
-            ones = csa_sum(ones, x4, x5);
-            const uint64x2_t x6 = load_row<Fused>(rows_a, rows_b, r + 6, w);
-            const uint64x2_t x7 = load_row<Fused>(rows_a, rows_b, r + 7, w);
-            const uint64x2_t twos_d = csa_carry(ones, x6, x7);
-            ones = csa_sum(ones, x6, x7);
-            const uint64x2_t fours_b = csa_carry(twos, twos_c, twos_d);
-            twos = csa_sum(twos, twos_c, twos_d);
-            uint64x2_t carry = csa_carry(fours, fours_a, fours_b);
-            fours = csa_sum(fours, fours_a, fours_b);
-            for (std::size_t p = 3; p < n_planes; ++p) {
-                const uint64x2_t sum = veorq_u64(planes[p], carry);
-                carry = vandq_u64(planes[p], carry);
-                planes[p] = sum;
-            }
-        }
-        for (; r < n_rows; ++r) {
-            const uint64x2_t x = load_row<Fused>(rows_a, rows_b, r, w);
-            uint64x2_t carry = vandq_u64(ones, x);
-            ones = veorq_u64(ones, x);
-            const uint64x2_t c2 = vandq_u64(twos, carry);
-            twos = veorq_u64(twos, carry);
-            carry = vandq_u64(fours, c2);
-            fours = veorq_u64(fours, c2);
-            for (std::size_t p = 3; p < n_planes; ++p) {
-                const uint64x2_t sum = veorq_u64(planes[p], carry);
-                carry = vandq_u64(planes[p], carry);
-                planes[p] = sum;
-            }
-        }
-        const uint64x2_t carries[3] = {ones, twos, fours};
-        for (std::size_t start = 0; start < 3; ++start) {
-            uint64x2_t carry = carries[start];
-            for (std::size_t p = start; p < n_planes; ++p) {
-                const uint64x2_t sum = veorq_u64(planes[p], carry);
-                carry = vandq_u64(planes[p], carry);
-                planes[p] = sum;
-            }
-        }
+        count_planes<Fused>(rows_a, rows_b, n_rows, n_planes, w, planes);
         // Bit-sliced count > / == threshold, MSB plane first.
         uint64x2_t gt = vdupq_n_u64(0);
         uint64x2_t eq = vdupq_n_u64(~Word{0});
@@ -376,9 +268,48 @@ void fused_hamming_scores(const Word* const* rows_a, const Word* const* rows_b,
                                           n_words, ties, tie_ctx, distances);
 }
 
+/// dots[g] = query . rows[g] for G rows in one pass over the query:
+/// vmlal_s32 / vmlal_high_s32 multiply-accumulate the low and high int32
+/// pairs into exact int64 lanes, summed with wrapping adds.
+template <std::size_t G>
+void dot_group(const std::int32_t* query, const std::int32_t* const* rows, std::size_t n,
+               std::int64_t* dots) noexcept {
+    int64x2_t low[G];
+    int64x2_t high[G];
+    for (std::size_t g = 0; g < G; ++g) low[g] = high[g] = vdupq_n_s64(0);
+    std::size_t i = 0;
+    for (; i + 4 <= n; i += 4) {
+        const int32x4_t q = vld1q_s32(query + i);
+        for (std::size_t g = 0; g < G; ++g) {
+            const int32x4_t v = vld1q_s32(rows[g] + i);
+            low[g] = vmlal_s32(low[g], vget_low_s32(q), vget_low_s32(v));
+            high[g] = vmlal_high_s32(high[g], q, v);
+        }
+    }
+    for (std::size_t g = 0; g < G; ++g) {
+        // Reduced through unsigned lanes: the sum may wrap.
+        std::uint64_t sum = vaddvq_u64(
+            vaddq_u64(vreinterpretq_u64_s64(low[g]), vreinterpretq_u64_s64(high[g])));
+        for (std::size_t t = i; t < n; ++t) {
+            sum += static_cast<std::uint64_t>(static_cast<std::int64_t>(query[t]) * rows[g][t]);
+        }
+        dots[g] = static_cast<std::int64_t>(sum);
+    }
+}
+
+std::int64_t dot_scores(const std::int32_t* query, const std::int32_t* const* class_rows,
+                        std::size_t n_classes, std::size_t n, std::int64_t* dots) noexcept {
+    std::size_t c = 0;
+    for (; c + 4 <= n_classes; c += 4) dot_group<4>(query, class_rows + c, n, dots + c);
+    for (; c < n_classes; ++c) dot_group<1>(query, class_rows + c, n, dots + c);
+    std::int64_t query_sq = 0;
+    dot_group<1>(query, &query, n, &query_sq);
+    return query_sq;
+}
+
 constexpr KernelBackend kBackend{
-    Backend::neon, "neon",   &xor_into, &popcount,      &hamming,  &csa_pair,
-    &csa_quad,     &csa_oct, &unpack_planes, &csa_rows, &fused_hamming_scores,
+    Backend::neon, "neon",         &xor_into,             &popcount,
+    &hamming,      &column_counts, &fused_hamming_scores, &dot_scores,
 };
 
 }  // namespace

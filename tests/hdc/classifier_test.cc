@@ -91,6 +91,13 @@ TEST(HdcClassifier, EncodeDatasetShapes) {
 
     const auto with_binary = classifier.encode_dataset(benchmark.test, true);
     EXPECT_EQ(with_binary.binary.size(), benchmark.test.n_samples());
+    // The binary half binarizes the sums already computed; it must equal a
+    // fresh encode_binary of the same row, tie draws included.
+    for (std::size_t s = 0; s < benchmark.test.n_samples(); ++s) {
+        const auto levels = classifier.discretizer().transform_row(benchmark.test.X.row(s));
+        EXPECT_EQ(with_binary.binary[s], classifier.encoder().encode_binary(levels)) << s;
+        EXPECT_EQ(with_binary.non_binary[s], classifier.encoder().encode(levels)) << s;
+    }
 }
 
 TEST(HdcClassifier, MismatchedFeatureCountThrows) {

@@ -62,6 +62,20 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_tuple(1000, 64, 8), std::make_tuple(1000, 65, 8),
                       std::make_tuple(4096, 128, 16), std::make_tuple(10000, 784, 2)));
 
+TEST(RecordEncoder, FeatureCountsAboveTheKernelCapMatchReference) {
+    // One column_counts call takes at most kMaxFusedRows rows; encode_into
+    // splits larger feature counts into several accumulating calls.
+    namespace kernels = hdlock::util::kernels;
+    const std::size_t n_features = kernels::kMaxFusedRows + 1;
+    const RecordEncoder encoder(make_memory(65, n_features, 3, 17), /*tie_seed=*/1);
+    const auto levels = random_levels(n_features, 3, 18);
+    const IntHV expected = encoder.encode_reference(levels);
+    for (const auto kind : kernels::available_backends()) {
+        kernels::ScopedBackend pin(kind);
+        EXPECT_EQ(encoder.encode(levels), expected) << kernels::backend_name(kind);
+    }
+}
+
 TEST(RecordEncoder, OutputBoundsAndParity) {
     // Each H_nb[j] is a sum of N bipolar terms: |H[j]| <= N and H[j] == N (mod 2).
     const std::size_t n_features = 33;

@@ -220,6 +220,16 @@ TEST(HdcModel, InvalidArgumentsThrow) {
     EXPECT_THROW(HdcModel::train(bad_labels, 2, TrainConfig{}), ContractViolation);
 }
 
+TEST(HdcModel, PredictRejectsQueryOfWrongDimension) {
+    // Scoring hands the kernel raw pointers and dim(): a query one short or
+    // one long must be refused, not read out of bounds.
+    const auto batch = make_batch(3, 4, 256, 0.2, 56, false);
+    const HdcModel model = HdcModel::train(batch, 3, TrainConfig{});
+    EXPECT_THROW(model.predict(IntHV(model.dim() - 1)), ContractViolation);
+    EXPECT_THROW(model.predict(IntHV(model.dim() + 1)), ContractViolation);
+    EXPECT_NO_THROW(model.predict(IntHV(model.dim())));
+}
+
 TEST(HdcModel, UntrainedModelRejectsUse) {
     const HdcModel model;
     EXPECT_THROW(model.predict(IntHV(16)), ContractViolation);

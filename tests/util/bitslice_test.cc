@@ -1,19 +1,25 @@
-// Tests for the bit-sliced column accumulator (src/util/bitslice.*) against
-// the naive reference, including flush-boundary row counts.
+// Tests for the column-count path: the Harley–Seal column_counts kernel
+// (src/util/kernels.*) on every available backend against the naive
+// reference (src/util/bitslice.*), including rows split over several calls
+// that accumulate into one count buffer — the way Encoder::encode_into
+// splits feature counts above kMaxFusedRows.
 
 #include "util/bitslice.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <tuple>
 #include <vector>
 
+#include "util/kernels.hpp"
+
 namespace bits = hdlock::util::bits;
-using hdlock::ConfigError;
+namespace kernels = hdlock::util::kernels;
 using hdlock::ContractViolation;
-using hdlock::util::ColumnCounter;
 using hdlock::util::Xoshiro256ss;
 using bits::Word;
+using Rows = std::vector<std::vector<Word>>;
 
 namespace {
 
@@ -23,169 +29,163 @@ std::vector<Word> random_row(std::size_t n_bits, Xoshiro256ss& rng) {
     return row;
 }
 
+Rows random_rows(std::size_t n_rows, std::size_t n_bits, Xoshiro256ss& rng) {
+    Rows rows;
+    for (std::size_t r = 0; r < n_rows; ++r) rows.push_back(random_row(n_bits, rng));
+    return rows;
+}
+
+std::vector<const Word*> pointers(const Rows& rows) {
+    std::vector<const Word*> out;
+    for (const auto& row : rows) out.push_back(row.data());
+    return out;
+}
+
+/// Every backend runnable on this host, portable first.
+std::vector<const kernels::KernelBackend*> backends() {
+    std::vector<const kernels::KernelBackend*> out{&kernels::portable_backend()};
+    if (kernels::available(kernels::Backend::neon)) out.push_back(kernels::neon_backend());
+    if (kernels::available(kernels::Backend::avx2)) out.push_back(kernels::avx2_backend());
+    if (kernels::available(kernels::Backend::avx512)) out.push_back(kernels::avx512_backend());
+    return out;
+}
+
+/// Adds the column counts of rows_a (bound to rows_b unless it is empty) onto
+/// `counts` through `backend`, in calls of at most `per_call` rows.
+void count_columns(const kernels::KernelBackend& backend, const Rows& rows_a, const Rows& rows_b,
+                   std::size_t per_call, std::size_t n_bits, std::vector<std::int32_t>& counts) {
+    const auto ptrs_a = pointers(rows_a);
+    const auto ptrs_b = pointers(rows_b);
+    for (std::size_t first = 0; first < ptrs_a.size(); first += per_call) {
+        const std::size_t n = std::min(per_call, ptrs_a.size() - first);
+        backend.column_counts(ptrs_a.data() + first,
+                              ptrs_b.empty() ? nullptr : ptrs_b.data() + first, n, n_bits,
+                              counts.data());
+    }
+}
+
+std::vector<std::int32_t> naive_counts(const Rows& rows, std::size_t n_bits) {
+    std::vector<std::int32_t> counts(n_bits, 0);
+    for (const auto& row : rows) hdlock::util::naive_accumulate(row, n_bits, counts);
+    return counts;
+}
+
 }  // namespace
 
-// (n_bits, n_planes, n_rows)
+// (n_bits, n_planes, n_rows).  The rows go through column_counts in calls of
+// 2^n_planes - 1 rows, the count capacity of n_planes bit planes, so every
+// full call fills its planes to capacity and the calls accumulate.
 class ColumnCounterTest
     : public ::testing::TestWithParam<std::tuple<std::size_t, std::size_t, std::size_t>> {};
 
 TEST_P(ColumnCounterTest, MatchesNaiveAccumulation) {
     const auto [n_bits, n_planes, n_rows] = GetParam();
     Xoshiro256ss rng(991);
-
-    ColumnCounter counter(n_bits, n_planes);
-    std::vector<std::int32_t> naive(n_bits, 0);
-    for (std::size_t r = 0; r < n_rows; ++r) {
-        const auto row = random_row(n_bits, rng);
-        counter.add(row);
-        hdlock::util::naive_accumulate(row, n_bits, naive);
-    }
-    EXPECT_EQ(counter.rows_added(), n_rows);
-
-    std::vector<std::int32_t> counts(n_bits, 0);
-    counter.counts_into(counts);
-    EXPECT_EQ(counts, naive);
-
-    std::vector<std::int32_t> sums(n_bits, 0);
-    counter.bipolar_sums_into(sums);
-    for (std::size_t j = 0; j < n_bits; ++j) {
-        EXPECT_EQ(sums[j], static_cast<std::int32_t>(n_rows) - 2 * naive[j]);
+    const Rows rows = random_rows(n_rows, n_bits, rng);
+    const auto naive = naive_counts(rows, n_bits);
+    const std::size_t per_call = (std::size_t{1} << n_planes) - 1;
+    for (const auto* backend : backends()) {
+        std::vector<std::int32_t> counts(n_bits, 0);
+        count_columns(*backend, rows, {}, per_call, n_bits, counts);
+        EXPECT_EQ(counts, naive) << backend->name;
     }
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Sweep, ColumnCounterTest,
     ::testing::Combine(::testing::Values<std::size_t>(1, 64, 65, 1000, 10000),
-                       // 1/3: classic row-at-a-time rippling; 4/6/8: the
-                       // Harley-Seal 8-row pipeline at several capacities.
+                       // Calls of 1, 7, 15, 63 and 255 rows.
                        ::testing::Values<std::size_t>(1, 3, 4, 6, 8),
-                       // Around flush and 8-row group boundaries for every
-                       // plane count:
+                       // Around call and 8-row group boundaries for every
+                       // call size:
                        ::testing::Values<std::size_t>(0, 1, 2, 7, 8, 9, 15, 16, 17, 62, 63, 64,
                                                       127, 200)));
 
 TEST(ColumnCounter, AddXorMatchesMaterializedXor) {
-    // The fused encoder kernel: add_xor(a, b) must be exactly add(a ^ b),
-    // across flush boundaries and for widths with a partial tail word.
+    // The uncached encoder form: counting (a, b) pairs must be exactly
+    // counting the materialized products a ^ b, for widths with a partial
+    // tail word.
     for (const std::size_t n_bits : {std::size_t{1}, std::size_t{64}, std::size_t{65},
                                      std::size_t{1000}, std::size_t{4096}}) {
         Xoshiro256ss rng(1234 + n_bits);
-        ColumnCounter fused(n_bits);
-        ColumnCounter materialized(n_bits);
-        std::vector<Word> product(bits::word_count(n_bits));
-        for (std::size_t r = 0; r < 130; ++r) {  // crosses the 63-row flush
-            const auto a = random_row(n_bits, rng);
-            const auto b = random_row(n_bits, rng);
-            fused.add_xor(a, b);
-            bits::xor_into(product, a, b);
-            materialized.add(product);
+        const Rows a = random_rows(130, n_bits, rng);
+        const Rows b = random_rows(130, n_bits, rng);
+        Rows products = a;
+        for (std::size_t r = 0; r < products.size(); ++r) bits::xor_into(products[r], a[r], b[r]);
+        const auto naive = naive_counts(products, n_bits);
+        for (const auto* backend : backends()) {
+            std::vector<std::int32_t> fused(n_bits, 0);
+            std::vector<std::int32_t> materialized(n_bits, 0);
+            count_columns(*backend, a, b, 130, n_bits, fused);
+            count_columns(*backend, products, {}, 130, n_bits, materialized);
+            EXPECT_EQ(fused, materialized) << backend->name << " n_bits=" << n_bits;
+            EXPECT_EQ(fused, naive) << backend->name << " n_bits=" << n_bits;
         }
-        EXPECT_EQ(fused.rows_added(), 130u);
-
-        std::vector<std::int32_t> fused_counts(n_bits, 0);
-        std::vector<std::int32_t> materialized_counts(n_bits, 0);
-        fused.counts_into(fused_counts);
-        materialized.counts_into(materialized_counts);
-        EXPECT_EQ(fused_counts, materialized_counts) << "n_bits=" << n_bits;
     }
 }
 
 TEST(ColumnCounter, AddXorInterleavesWithAdd) {
+    // Bound and plain calls accumulate into the same buffer.
     const std::size_t n_bits = 200;
     Xoshiro256ss rng(77);
-    ColumnCounter counter(n_bits);
-    std::vector<std::int32_t> naive(n_bits, 0);
-    std::vector<Word> product(bits::word_count(n_bits));
-    for (std::size_t r = 0; r < 70; ++r) {
-        const auto a = random_row(n_bits, rng);
-        if (r % 3 == 0) {
-            const auto b = random_row(n_bits, rng);
-            counter.add_xor(a, b);
-            bits::xor_into(product, a, b);
-            hdlock::util::naive_accumulate(product, n_bits, naive);
-        } else {
-            counter.add(a);
-            hdlock::util::naive_accumulate(a, n_bits, naive);
-        }
+    const Rows a = random_rows(70, n_bits, rng);
+    const Rows b = random_rows(70, n_bits, rng);
+    const Rows plain = random_rows(70, n_bits, rng);
+    Rows expected_rows = plain;
+    for (std::size_t r = 0; r < a.size(); ++r) {
+        std::vector<Word> product(bits::word_count(n_bits));
+        bits::xor_into(product, a[r], b[r]);
+        expected_rows.push_back(std::move(product));
     }
-    std::vector<std::int32_t> counts(n_bits, 0);
-    counter.counts_into(counts);
-    EXPECT_EQ(counts, naive);
-}
-
-TEST(ColumnCounter, AddXorRejectsWidthMismatch) {
-    ColumnCounter counter(100);
-    const std::vector<Word> good(bits::word_count(100), 0);
-    const std::vector<Word> bad(5, 0);
-    EXPECT_THROW(counter.add_xor(bad, good), ContractViolation);
-    EXPECT_THROW(counter.add_xor(good, bad), ContractViolation);
+    const auto naive = naive_counts(expected_rows, n_bits);
+    for (const auto* backend : backends()) {
+        std::vector<std::int32_t> counts(n_bits, 0);
+        for (std::size_t first = 0; first < 70; first += 10) {
+            const Rows a_part(a.begin() + first, a.begin() + first + 10);
+            const Rows b_part(b.begin() + first, b.begin() + first + 10);
+            const Rows plain_part(plain.begin() + first, plain.begin() + first + 10);
+            count_columns(*backend, a_part, b_part, 10, n_bits, counts);
+            count_columns(*backend, plain_part, {}, 10, n_bits, counts);
+        }
+        EXPECT_EQ(counts, naive) << backend->name;
+    }
 }
 
 TEST(ColumnCounter, UsableAfterCountsInto) {
-    // counts_into() flushes but must not lose state: adding more rows after a
-    // read continues the same accumulation.
+    // column_counts adds onto the caller's buffer: reading the counts after
+    // some rows and then counting more continues the same accumulation.
     const std::size_t n_bits = 300;
     Xoshiro256ss rng(5);
-    ColumnCounter counter(n_bits);
-    std::vector<std::int32_t> naive(n_bits, 0);
-
-    for (int r = 0; r < 10; ++r) {
-        const auto row = random_row(n_bits, rng);
-        counter.add(row);
-        hdlock::util::naive_accumulate(row, n_bits, naive);
+    const Rows first = random_rows(10, n_bits, rng);
+    const Rows second = random_rows(75, n_bits, rng);
+    Rows all = first;
+    all.insert(all.end(), second.begin(), second.end());
+    for (const auto* backend : backends()) {
+        std::vector<std::int32_t> counts(n_bits, 0);
+        count_columns(*backend, first, {}, first.size(), n_bits, counts);
+        EXPECT_EQ(counts, naive_counts(first, n_bits)) << backend->name;
+        count_columns(*backend, second, {}, second.size(), n_bits, counts);
+        EXPECT_EQ(counts, naive_counts(all, n_bits)) << backend->name;
     }
-    std::vector<std::int32_t> counts(n_bits, 0);
-    counter.counts_into(counts);
-    EXPECT_EQ(counts, naive);
-
-    for (int r = 0; r < 75; ++r) {
-        const auto row = random_row(n_bits, rng);
-        counter.add(row);
-        hdlock::util::naive_accumulate(row, n_bits, naive);
-    }
-    counter.counts_into(counts);
-    EXPECT_EQ(counts, naive);
-    EXPECT_EQ(counter.rows_added(), 85u);
-}
-
-TEST(ColumnCounter, ResetClearsEverything) {
-    const std::size_t n_bits = 128;
-    Xoshiro256ss rng(6);
-    ColumnCounter counter(n_bits);
-    for (int r = 0; r < 20; ++r) counter.add(random_row(n_bits, rng));
-    counter.reset();
-    EXPECT_EQ(counter.rows_added(), 0u);
-
-    std::vector<std::int32_t> counts(n_bits, -1);
-    counter.counts_into(counts);
-    for (const auto c : counts) EXPECT_EQ(c, 0);
 }
 
 TEST(ColumnCounter, AllOnesAndAllZeros) {
     const std::size_t n_bits = 100;
-    ColumnCounter counter(n_bits);
     std::vector<Word> ones(bits::word_count(n_bits), ~Word{0});
     ones.back() &= bits::tail_mask(n_bits);
-    std::vector<Word> zeros(bits::word_count(n_bits), 0);
-
-    for (int r = 0; r < 130; ++r) counter.add(ones);   // crosses a flush boundary
-    for (int r = 0; r < 5; ++r) counter.add(zeros);
-
-    std::vector<std::int32_t> counts(n_bits, 0);
-    counter.counts_into(counts);
-    for (const auto c : counts) EXPECT_EQ(c, 130);
+    const std::vector<Word> zeros(bits::word_count(n_bits), 0);
+    Rows rows(130, ones);
+    rows.insert(rows.end(), 5, zeros);
+    for (const auto* backend : backends()) {
+        std::vector<std::int32_t> counts(n_bits, 0);
+        count_columns(*backend, rows, {}, 63, n_bits, counts);  // crosses call boundaries
+        for (const auto c : counts) EXPECT_EQ(c, 130) << backend->name;
+    }
 }
 
 TEST(ColumnCounter, ContractViolations) {
-    EXPECT_THROW(ColumnCounter(0), ContractViolation);
-    // Plane counts are a user-facing configuration knob, so an out-of-range
-    // value (0 especially) is a named ConfigError, not a contract macro.
-    EXPECT_THROW(ColumnCounter(10, 0), ConfigError);
-    EXPECT_THROW(ColumnCounter(10, 17), ConfigError);
-
-    ColumnCounter counter(100);
-    std::vector<Word> wrong_width(5, 0);
-    EXPECT_THROW(counter.add(wrong_width), ContractViolation);
+    // The reference refuses a count buffer that does not match n_bits.
+    const std::vector<Word> row(bits::word_count(100), 0);
     std::vector<std::int32_t> wrong_counts(50, 0);
-    EXPECT_THROW(counter.counts_into(wrong_counts), ContractViolation);
+    EXPECT_THROW(hdlock::util::naive_accumulate(row, 100, wrong_counts), ContractViolation);
 }

@@ -1,8 +1,9 @@
 // Cross-backend bit-equality tests for the runtime-dispatched SIMD kernel
-// layer (src/util/kernels.*).  Every ISA backend must agree with portable on
-// every input — including odd tail lengths (word counts that are not a
-// multiple of the vector width) and every supported plane count — and the
-// selection machinery (parse / choose / set / scoped restore) must behave.
+// layer (src/util/kernels.*).  Every ISA backend must agree with portable
+// and with the naive references on every input — including odd tail lengths
+// (word counts that are not a multiple of the vector width) and row counts
+// up to and past the per-call cap — and the selection machinery (parse /
+// choose / set / scoped restore) must behave.
 // Backends the host cannot run are skipped cleanly, so the suite is green on
 // any machine.
 
@@ -10,9 +11,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <bit>
 #include <cstdint>
+#include <iterator>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -25,7 +29,6 @@
 namespace kernels = hdlock::util::kernels;
 namespace bits = hdlock::util::bits;
 using hdlock::ConfigError;
-using hdlock::util::ColumnCounter;
 using hdlock::util::Xoshiro256ss;
 using kernels::Backend;
 using kernels::KernelBackend;
@@ -39,6 +42,13 @@ std::vector<const KernelBackend*> simd_backends() {
     if (kernels::available(Backend::neon)) backends.push_back(kernels::neon_backend());
     if (kernels::available(Backend::avx2)) backends.push_back(kernels::avx2_backend());
     if (kernels::available(Backend::avx512)) backends.push_back(kernels::avx512_backend());
+    return backends;
+}
+
+/// Every backend runnable on this host, portable first.
+std::vector<const KernelBackend*> all_available() {
+    std::vector<const KernelBackend*> backends{&kernels::portable_backend()};
+    for (const KernelBackend* backend : simd_backends()) backends.push_back(backend);
     return backends;
 }
 
@@ -181,98 +191,113 @@ TEST(Kernels, XorPopcountHammingAgreeAcrossBackends) {
     }
 }
 
-TEST(Kernels, CsaStepsAgreeAcrossBackends) {
-    const auto backends = simd_backends();
-    if (backends.empty()) GTEST_SKIP() << "no SIMD backend available on this host";
-    const KernelBackend& portable = kernels::portable_backend();
-    Xoshiro256ss rng(7);
-    for (const std::size_t n : kWordCounts) {
-        const auto x = random_words(n, rng);
-        const auto ya = random_words(n, rng);
-        const auto yb = random_words(n, rng);
-        const auto ones0 = random_words(n, rng);
-        const auto twos0 = random_words(n, rng);
-        const auto twos_a = random_words(n, rng);
-        const auto fours0 = random_words(n, rng);
-        const auto fours_a = random_words(n, rng);
-        for (const Word* yb_ptr : {static_cast<const Word*>(nullptr), yb.data()}) {
-            // csa_pair
-            auto ones_p = ones0;
-            std::vector<Word> carry_p(n, 0);
-            portable.csa_pair(ones_p.data(), carry_p.data(), x.data(), ya.data(), yb_ptr, n);
-            // csa_quad
-            auto ones_q = ones0;
-            auto twos_q = twos0;
-            std::vector<Word> fours_a_q(n, 0);
-            portable.csa_quad(ones_q.data(), twos_q.data(), twos_a.data(), fours_a_q.data(),
-                              x.data(), ya.data(), yb_ptr, n);
-            // csa_oct
-            auto ones_o = ones0;
-            auto twos_o = twos0;
-            auto fours_o = fours0;
-            std::vector<Word> carry_o(n, 0);
-            portable.csa_oct(ones_o.data(), twos_o.data(), twos_a.data(), fours_o.data(),
-                             fours_a.data(), carry_o.data(), x.data(), ya.data(), yb_ptr, n);
-            for (const KernelBackend* backend : backends) {
-                auto b_ones = ones0;
-                std::vector<Word> b_carry(n, 0);
-                backend->csa_pair(b_ones.data(), b_carry.data(), x.data(), ya.data(), yb_ptr, n);
-                EXPECT_EQ(b_ones, ones_p) << backend->name << " n=" << n;
-                EXPECT_EQ(b_carry, carry_p) << backend->name << " n=" << n;
+namespace {
 
-                b_ones = ones0;
-                auto b_twos = twos0;
-                std::vector<Word> b_fours_a(n, 0);
-                backend->csa_quad(b_ones.data(), b_twos.data(), twos_a.data(), b_fours_a.data(),
-                                  x.data(), ya.data(), yb_ptr, n);
-                EXPECT_EQ(b_ones, ones_q) << backend->name << " n=" << n;
-                EXPECT_EQ(b_twos, twos_q) << backend->name << " n=" << n;
-                EXPECT_EQ(b_fours_a, fours_a_q) << backend->name << " n=" << n;
+/// A row-pointer table of n_rows entries cycling over a small pool of
+/// distinct rows, with the naive per-column counts computed per distinct
+/// row times its multiplicity — so N above kMaxFusedRows stays cheap.
+struct PooledRows {
+    std::vector<std::vector<Word>> pool_a, pool_b;
+    std::vector<const Word*> rows_a, rows_b;
+    std::vector<std::int32_t> expected;
 
-                b_ones = ones0;
-                b_twos = twos0;
-                auto b_fours = fours0;
-                std::vector<Word> b_carry_o(n, 0);
-                backend->csa_oct(b_ones.data(), b_twos.data(), twos_a.data(), b_fours.data(),
-                                 fours_a.data(), b_carry_o.data(), x.data(), ya.data(), yb_ptr,
-                                 n);
-                EXPECT_EQ(b_ones, ones_o) << backend->name << " n=" << n;
-                EXPECT_EQ(b_twos, twos_o) << backend->name << " n=" << n;
-                EXPECT_EQ(b_fours, fours_o) << backend->name << " n=" << n;
-                EXPECT_EQ(b_carry_o, carry_o) << backend->name << " n=" << n;
+    PooledRows(std::size_t n_rows, std::size_t n_bits, bool bound, Xoshiro256ss& rng) {
+        const std::size_t n_words = bits::word_count(n_bits);
+        for (std::size_t i = 0; i < 5; ++i) {
+            pool_a.emplace_back(n_words);
+            pool_b.emplace_back(n_words);
+            bits::fill_random(pool_a.back(), n_bits, rng);
+            bits::fill_random(pool_b.back(), n_bits, rng);
+        }
+        std::vector<std::vector<std::int32_t>> multiplicity(5, std::vector<std::int32_t>(5, 0));
+        for (std::size_t r = 0; r < n_rows; ++r) {
+            const std::size_t a = (r * 3 + r / 7) % 5;
+            const std::size_t b = (r + r / 3) % 5;
+            rows_a.push_back(pool_a[a].data());
+            if (bound) rows_b.push_back(pool_b[b].data());
+            ++multiplicity[a][bound ? b : 0];
+        }
+        expected.assign(n_bits, 0);
+        std::vector<Word> product(n_words);
+        for (std::size_t a = 0; a < 5; ++a) {
+            for (std::size_t b = 0; b < 5; ++b) {
+                if (multiplicity[a][b] == 0) continue;
+                if (bound) {
+                    bits::xor_into(product, pool_a[a], pool_b[b]);
+                } else {
+                    product = pool_a[a];
+                }
+                std::vector<std::int32_t> once(n_bits, 0);
+                hdlock::util::naive_accumulate(product, n_bits, once);
+                for (std::size_t j = 0; j < n_bits; ++j) {
+                    expected[j] += once[j] * multiplicity[a][b];
+                }
+            }
+        }
+    }
+};
+
+/// Adds the column counts of the table onto `counts`, splitting it into
+/// calls of at most kMaxFusedRows rows as Encoder::encode_into does.
+void count_in_calls(const KernelBackend& backend, const std::vector<const Word*>& rows_a,
+                    const std::vector<const Word*>& rows_b, std::size_t n_bits,
+                    std::vector<std::int32_t>& counts) {
+    for (std::size_t first = 0; first < rows_a.size(); first += kernels::kMaxFusedRows) {
+        const std::size_t n = std::min(kernels::kMaxFusedRows, rows_a.size() - first);
+        backend.column_counts(rows_a.data() + first,
+                              rows_b.empty() ? nullptr : rows_b.data() + first, n, n_bits,
+                              counts.data());
+    }
+}
+
+const std::size_t kDims[] = {1, 63, 64, 65, 513, 10000};
+
+}  // namespace
+
+// column_counts against the naive reference on every backend, at dimensions
+// with and without tail words and row counts around the 8-row groups, the
+// ISOLET feature count and one past the per-call cap; bound (rows_b) and
+// cached (rows_b == nullptr) forms.
+TEST(Kernels, ColumnCountsMatchNaiveAcrossShapes) {
+    Xoshiro256ss rng(211);
+    for (const std::size_t n_bits : kDims) {
+        for (const std::size_t n_rows : {std::size_t{1}, std::size_t{7}, std::size_t{8},
+                                         std::size_t{9}, std::size_t{617},
+                                         kernels::kMaxFusedRows + 1}) {
+            for (const bool bound : {false, true}) {
+                const PooledRows rows(n_rows, n_bits, bound, rng);
+                for (const KernelBackend* backend : all_available()) {
+                    std::vector<std::int32_t> counts(n_bits, 0);
+                    count_in_calls(*backend, rows.rows_a, rows.rows_b, n_bits, counts);
+                    EXPECT_EQ(counts, rows.expected) << backend->name << " D=" << n_bits
+                                                     << " N=" << n_rows << " bound=" << bound;
+                }
             }
         }
     }
 }
 
-TEST(Kernels, UnpackPlanesAgreesAcrossBackends) {
-    const auto backends = simd_backends();
-    if (backends.empty()) GTEST_SKIP() << "no SIMD backend available on this host";
-    const KernelBackend& portable = kernels::portable_backend();
-    Xoshiro256ss rng(19);
-    for (const std::size_t n_words : {std::size_t{1}, std::size_t{2}, std::size_t{5}}) {
-        for (std::size_t n_planes = 1; n_planes <= 16; ++n_planes) {
-            const auto planes = random_words(n_words * n_planes, rng);
-            // Non-zero initial accumulator: the kernel must *add*.
-            std::vector<std::int32_t> expected(n_words * 64);
-            for (std::size_t j = 0; j < expected.size(); ++j) {
-                expected[j] = static_cast<std::int32_t>(j % 37);
-            }
-            auto seed = expected;
-            portable.unpack_planes(planes.data(), n_words, n_planes, expected.data());
-            for (const KernelBackend* backend : backends) {
-                auto actual = seed;
-                backend->unpack_planes(planes.data(), n_words, n_planes, actual.data());
-                EXPECT_EQ(actual, expected)
-                    << backend->name << " words=" << n_words << " planes=" << n_planes;
-            }
+// A full-capacity call counts 65535 into every column: the top of the
+// 16-bit lanes the SIMD unpacks widen from.
+TEST(Kernels, ColumnCountsReachTheRowCap) {
+    for (const std::size_t n_bits : kDims) {
+        std::vector<Word> ones(bits::word_count(n_bits), ~Word{0});
+        ones.back() &= bits::tail_mask(n_bits);
+        const std::vector<const Word*> rows(kernels::kMaxFusedRows + 1, ones.data());
+        for (const KernelBackend* backend : all_available()) {
+            std::vector<std::int32_t> counts(n_bits, 0);
+            count_in_calls(*backend, rows, {}, n_bits, counts);
+            EXPECT_EQ(counts, std::vector<std::int32_t>(
+                                  n_bits, static_cast<std::int32_t>(kernels::kMaxFusedRows + 1)))
+                << backend->name << " D=" << n_bits;
         }
     }
 }
 
-// End-to-end: a ColumnCounter driven through set_backend must produce
-// identical counts and bipolar sums on every backend, over odd tail lengths
-// (D not a multiple of 256/512) and all plane regimes (ripple and grouped).
+// End-to-end through dispatch: column_counts reached via set_backend must
+// produce identical counts on every backend, over odd tail lengths (D not a
+// multiple of 256/512) and a mix of bound and plain calls of several sizes
+// accumulating into one buffer.
 TEST(Kernels, ColumnCounterBitIdenticalAcrossBackends) {
     const auto available = kernels::available_backends();
     if (available.size() < 2) GTEST_SKIP() << "only portable available on this host";
@@ -281,106 +306,40 @@ TEST(Kernels, ColumnCounterBitIdenticalAcrossBackends) {
                                      std::size_t{65}, std::size_t{200}, std::size_t{257},
                                      std::size_t{300}, std::size_t{511}, std::size_t{513},
                                      std::size_t{1000}}) {
-        for (const std::size_t n_planes :
-             {std::size_t{1}, std::size_t{3}, std::size_t{4}, std::size_t{6}, std::size_t{8},
-              std::size_t{16}}) {
-            // Same row stream for every backend: mixed add / add_xor, enough
-            // rows to cross group and flush boundaries.
+        for (const std::size_t per_call : {std::size_t{1}, std::size_t{7}, std::size_t{8},
+                                           std::size_t{9}, std::size_t{15}, std::size_t{37}}) {
             std::vector<std::vector<Word>> rows;
-            Xoshiro256ss rng(1000 + n_bits * 31 + n_planes);
+            Xoshiro256ss rng(1000 + n_bits * 31 + per_call);
             const std::size_t n_words = bits::word_count(n_bits);
             for (std::size_t r = 0; r < 37; ++r) {
                 auto row = random_words(n_words, rng);
                 if (!row.empty()) row.back() &= bits::tail_mask(n_bits);
                 rows.push_back(std::move(row));
             }
+            std::vector<const Word*> ptrs_a, ptrs_b;
+            for (std::size_t r = 0; r < rows.size(); ++r) {
+                ptrs_a.push_back(rows[r].data());
+                ptrs_b.push_back(rows[(r + 1) % rows.size()].data());
+            }
 
-            std::vector<std::int32_t> reference_counts;
-            std::vector<std::int32_t> reference_sums;
+            std::vector<std::int32_t> reference;
             for (const Backend kind : available) {
                 kernels::ScopedBackend pin(kind);
-                ColumnCounter counter(n_bits, n_planes);
-                for (std::size_t r = 0; r < rows.size(); ++r) {
-                    if (r % 3 == 1) {
-                        counter.add_xor(rows[r], rows[(r + 1) % rows.size()]);
-                    } else {
-                        counter.add(rows[r]);
-                    }
-                }
                 std::vector<std::int32_t> counts(n_bits, 0);
-                counter.counts_into(counts);
-                std::vector<std::int32_t> sums(n_bits, 0);
-                counter.bipolar_sums_into(sums);
+                for (std::size_t first = 0, call = 0; first < rows.size();
+                     first += per_call, ++call) {
+                    const std::size_t n = std::min(per_call, rows.size() - first);
+                    kernels::active().column_counts(ptrs_a.data() + first,
+                                                    call % 2 == 1 ? ptrs_b.data() + first : nullptr,
+                                                    n, n_bits, counts.data());
+                }
                 if (kind == Backend::portable) {
-                    reference_counts = counts;
-                    reference_sums = sums;
+                    reference = counts;
                 } else {
-                    EXPECT_EQ(counts, reference_counts)
-                        << kernels::backend_name(kind) << " D=" << n_bits
-                        << " planes=" << n_planes;
-                    EXPECT_EQ(sums, reference_sums)
-                        << kernels::backend_name(kind) << " D=" << n_bits
-                        << " planes=" << n_planes;
+                    EXPECT_EQ(counts, reference) << kernels::backend_name(kind) << " D=" << n_bits
+                                                 << " per_call=" << per_call;
                 }
             }
-        }
-    }
-}
-
-// csa_rows semantics: folding 8 rows into zeroed residues must leave a
-// per-column binary decomposition of the exact column count —
-//   count(j) = ones(j) + 2*twos(j) + 4*fours(j) + 8*carry(j)
-// — and every backend must produce bit-identical residue planes.
-TEST(Kernels, CsaRowsDecomposesColumnCountsAndAgreesAcrossBackends) {
-    const KernelBackend& portable = kernels::portable_backend();
-    Xoshiro256ss rng(61);
-    for (const std::size_t n : {std::size_t{1}, std::size_t{3}, std::size_t{4}, std::size_t{5},
-                                std::size_t{8}, std::size_t{9}, std::size_t{13}}) {
-        std::vector<std::vector<Word>> rows;
-        std::vector<const Word*> row_ptrs;
-        for (std::size_t r = 0; r < 8; ++r) {
-            rows.push_back(random_words(n, rng));
-            row_ptrs.push_back(rows.back().data());
-        }
-        // Non-zero initial residues: csa_rows folds *into* live state.
-        const auto ones0 = random_words(n, rng);
-        const auto twos0 = random_words(n, rng);
-        const auto fours0 = random_words(n, rng);
-
-        auto p_ones = ones0;
-        auto p_twos = twos0;
-        auto p_fours = fours0;
-        std::vector<Word> p_carry(n, 0);
-        portable.csa_rows(p_ones.data(), p_twos.data(), p_fours.data(), p_carry.data(),
-                          row_ptrs.data(), n);
-
-        // Absolute check against per-column arithmetic, zero initial state.
-        std::vector<Word> z_ones(n, 0), z_twos(n, 0), z_fours(n, 0), z_carry(n, 0);
-        portable.csa_rows(z_ones.data(), z_twos.data(), z_fours.data(), z_carry.data(),
-                          row_ptrs.data(), n);
-        for (std::size_t w = 0; w < n; ++w) {
-            for (std::size_t bit = 0; bit < 64; ++bit) {
-                std::size_t count = 0;
-                for (const auto& row : rows) count += (row[w] >> bit) & 1u;
-                const std::size_t decomposed = ((z_ones[w] >> bit) & 1u) +
-                                               2 * ((z_twos[w] >> bit) & 1u) +
-                                               4 * ((z_fours[w] >> bit) & 1u) +
-                                               8 * ((z_carry[w] >> bit) & 1u);
-                ASSERT_EQ(decomposed, count) << "word " << w << " bit " << bit;
-            }
-        }
-
-        for (const KernelBackend* backend : simd_backends()) {
-            auto b_ones = ones0;
-            auto b_twos = twos0;
-            auto b_fours = fours0;
-            std::vector<Word> b_carry(n, 0);
-            backend->csa_rows(b_ones.data(), b_twos.data(), b_fours.data(), b_carry.data(),
-                              row_ptrs.data(), n);
-            EXPECT_EQ(b_ones, p_ones) << backend->name << " n=" << n;
-            EXPECT_EQ(b_twos, p_twos) << backend->name << " n=" << n;
-            EXPECT_EQ(b_fours, p_fours) << backend->name << " n=" << n;
-            EXPECT_EQ(b_carry, p_carry) << backend->name << " n=" << n;
         }
     }
 }
@@ -546,47 +505,134 @@ TEST(Kernels, FusedHammingScoresZeroRowsZeroesDistances) {
     EXPECT_EQ(distances[0], 0u);
 }
 
-// ColumnCounter::add_rows must be exactly add() per row — plane-identical
-// counts on every backend, at odd dimensions (tail words) and from
-// mid-group entry points.
+// One column_counts call over a cached-form table (rows_b == nullptr, the
+// BoundProductCache path) must count exactly like one call per row, on
+// every backend, at odd dimensions (tail words) and after a few single-row
+// calls.
 TEST(Kernels, ColumnCounterAddRowsMatchesSequentialAdds) {
-    for (const Backend kind : kernels::available_backends()) {
-        kernels::ScopedBackend pin(kind);
+    for (const KernelBackend* backend : all_available()) {
         for (const std::size_t n_bits :
              {std::size_t{63}, std::size_t{65}, std::size_t{513}, std::size_t{777},
               std::size_t{1000}}) {
-            for (const std::size_t n_planes : {std::size_t{3}, std::size_t{4}, std::size_t{6},
-                                               std::size_t{16}}) {
-                for (const std::size_t misalign : {std::size_t{0}, std::size_t{3}}) {
-                    Xoshiro256ss rng(500 + n_bits + n_planes * 7 + misalign);
-                    const std::size_t n_words = bits::word_count(n_bits);
-                    std::vector<std::vector<Word>> rows;
-                    std::vector<const Word*> row_ptrs;
-                    for (std::size_t r = 0; r < 37; ++r) {
-                        auto row = random_words(n_words, rng);
-                        row.back() &= bits::tail_mask(n_bits);
-                        rows.push_back(std::move(row));
-                    }
-                    for (const auto& row : rows) row_ptrs.push_back(row.data());
-
-                    ColumnCounter sequential(n_bits, n_planes);
-                    ColumnCounter batched(n_bits, n_planes);
-                    for (std::size_t r = 0; r < misalign; ++r) {
-                        sequential.add(rows[r]);
-                        batched.add(rows[r]);  // enter add_rows mid-group
-                    }
-                    for (std::size_t r = misalign; r < rows.size(); ++r) sequential.add(rows[r]);
-                    batched.add_rows(std::span<const Word* const>(row_ptrs).subspan(misalign));
-                    EXPECT_EQ(batched.rows_added(), sequential.rows_added());
-
-                    std::vector<std::int32_t> expected(n_bits, 0), actual(n_bits, 0);
-                    sequential.counts_into(expected);
-                    batched.counts_into(actual);
-                    EXPECT_EQ(actual, expected)
-                        << kernels::backend_name(kind) << " D=" << n_bits
-                        << " planes=" << n_planes << " misalign=" << misalign;
+            for (const std::size_t misalign : {std::size_t{0}, std::size_t{3}}) {
+                Xoshiro256ss rng(500 + n_bits + misalign);
+                const std::size_t n_words = bits::word_count(n_bits);
+                std::vector<std::vector<Word>> rows;
+                std::vector<const Word*> row_ptrs;
+                for (std::size_t r = 0; r < 37; ++r) {
+                    auto row = random_words(n_words, rng);
+                    row.back() &= bits::tail_mask(n_bits);
+                    rows.push_back(std::move(row));
                 }
+                for (const auto& row : rows) row_ptrs.push_back(row.data());
+
+                std::vector<std::int32_t> sequential(n_bits, 0), batched(n_bits, 0);
+                for (const Word* row : row_ptrs) {
+                    backend->column_counts(&row, nullptr, 1, n_bits, sequential.data());
+                }
+                for (std::size_t r = 0; r < misalign; ++r) {
+                    backend->column_counts(&row_ptrs[r], nullptr, 1, n_bits, batched.data());
+                }
+                backend->column_counts(row_ptrs.data() + misalign, nullptr,
+                                       row_ptrs.size() - misalign, n_bits, batched.data());
+                EXPECT_EQ(batched, sequential)
+                    << backend->name << " D=" << n_bits << " misalign=" << misalign;
             }
+        }
+    }
+}
+
+namespace {
+
+/// The scalar int64 dot loop the kernel must reproduce: exact products,
+/// summed modulo 2^64.
+std::int64_t scalar_dot(const std::vector<std::int32_t>& a, const std::vector<std::int32_t>& b) {
+    std::uint64_t sum = 0;
+    for (std::size_t i = 0; i < a.size(); ++i) {
+        sum += static_cast<std::uint64_t>(static_cast<std::int64_t>(a[i]) * b[i]);
+    }
+    return static_cast<std::int64_t>(sum);
+}
+
+/// Runs dot_scores for `query` against `classes` on `backend` and checks
+/// every dot and the returned sum of squares against scalar_dot.
+void expect_dot_scores(const KernelBackend& backend, const std::vector<std::int32_t>& query,
+                       const std::vector<std::vector<std::int32_t>>& classes) {
+    std::vector<const std::int32_t*> rows;
+    for (const auto& row : classes) rows.push_back(row.data());
+    std::vector<std::int64_t> dots(classes.size(), 0);
+    const std::int64_t query_sq =
+        backend.dot_scores(query.data(), rows.data(), rows.size(), query.size(), dots.data());
+    EXPECT_EQ(query_sq, scalar_dot(query, query))
+        << backend.name << " n=" << query.size() << " classes=" << classes.size();
+    for (std::size_t c = 0; c < classes.size(); ++c) {
+        EXPECT_EQ(dots[c], scalar_dot(query, classes[c]))
+            << backend.name << " n=" << query.size() << " class " << c << " of "
+            << classes.size();
+    }
+}
+
+}  // namespace
+
+// dot_scores against the scalar loop on every backend, at the encoder
+// dimensions and class counts below, at and around every class-group size.
+TEST(Kernels, DotScoresMatchScalarLoop) {
+    Xoshiro256ss rng(307);
+    const auto draw = [&rng](std::size_t n) {
+        std::vector<std::int32_t> values(n);
+        for (auto& v : values) v = static_cast<std::int32_t>(rng.next_below(1u << 21)) - (1 << 20);
+        return values;
+    };
+    for (const std::size_t n : kDims) {
+        for (const std::size_t n_classes :
+             {std::size_t{1}, std::size_t{3}, std::size_t{26}, std::size_t{64}}) {
+            const auto query = draw(n);
+            std::vector<std::vector<std::int32_t>> classes;
+            for (std::size_t c = 0; c < n_classes; ++c) classes.push_back(draw(n));
+            for (const KernelBackend* backend : all_available()) {
+                expect_dot_scores(*backend, query, classes);
+            }
+        }
+    }
+}
+
+// Products of int32 extremes need all 64 bits (INT32_MIN^2 = 2^62): a
+// backend with a 32-bit intermediate anywhere would disagree with the
+// scalar loop.  Sums that leave int64 wrap identically everywhere.
+TEST(Kernels, DotScoresExactAtInt32Extremes) {
+    constexpr std::int32_t kMin = std::numeric_limits<std::int32_t>::min();
+    constexpr std::int32_t kMax = std::numeric_limits<std::int32_t>::max();
+    const std::int32_t palette[] = {kMin, kMax, kMin + 1, -1, 0, 1, kMax - 1};
+    Xoshiro256ss rng(401);
+    const auto draw = [&](std::size_t n) {
+        std::vector<std::int32_t> values(n);
+        for (auto& v : values) v = palette[rng.next_below(std::size(palette))];
+        return values;
+    };
+    for (const std::size_t n : {std::size_t{1}, std::size_t{2}, std::size_t{3}, std::size_t{4},
+                                std::size_t{7}, std::size_t{8}, std::size_t{9}, std::size_t{15},
+                                std::size_t{16}, std::size_t{17}, std::size_t{33}, std::size_t{65},
+                                std::size_t{513}}) {
+        const auto query = draw(n);
+        std::vector<std::vector<std::int32_t>> classes{std::vector<std::int32_t>(n, kMin),
+                                                       std::vector<std::int32_t>(n, kMax)};
+        for (std::size_t c = 0; c < 7; ++c) classes.push_back(draw(n));
+        for (const KernelBackend* backend : all_available()) {
+            expect_dot_scores(*backend, query, classes);
+        }
+    }
+    // One extreme product alone, at every lane position: exact, no wrap.
+    for (std::size_t at = 0; at < 17; ++at) {
+        std::vector<std::int32_t> query(17, 0);
+        query[at] = kMin;
+        const std::vector<std::vector<std::int32_t>> classes{std::vector<std::int32_t>(17, kMin)};
+        for (const KernelBackend* backend : all_available()) {
+            std::vector<std::int64_t> dots(1, 0);
+            const std::int32_t* row = classes[0].data();
+            EXPECT_EQ(backend->dot_scores(query.data(), &row, 1, 17, dots.data()),
+                      std::int64_t{1} << 62)
+                << backend->name << " at " << at;
+            EXPECT_EQ(dots[0], std::int64_t{1} << 62) << backend->name << " at " << at;
         }
     }
 }
