@@ -91,25 +91,27 @@ int HdcModel::predict(const IntHV& query) const {
     // The kernel reads dim() values through raw pointers: a short query
     // would be read out of bounds, not rejected.
     HDLOCK_EXPECTS(query.dim() == dim(), "HdcModel::predict: query dimension mismatch");
+    const util::kernels::KernelBackend& kernel = util::kernels::active();
+    const std::int32_t* q = query.values().data();
+    // sqrt of the exact integer sum of squares: bit-identical to
+    // IntHV::norm()'s double accumulation whenever the sum is below 2^53
+    // (every partial sum is then an exact double).  At the served shapes
+    // |q[i]| <= N, so the sum is at most D * N^2 <= 1e4 * 784^2 ~ 6.1e9.
+    std::int64_t query_sq = 0;
+    kernel.dot_scores(q, &q, 1, dim(), &query_sq);
+    const double query_norm = std::sqrt(static_cast<double>(query_sq));
     // Class-row pointers are taken per call, in fixed-size stack chunks: the
     // model is copied into serving states and class sums detach
     // copy-on-write under retraining, so no pointer into them is cached.
     constexpr std::size_t kChunk = 32;
     const std::int32_t* rows[kChunk];
     std::int64_t dots[kChunk];
-    const util::kernels::KernelBackend& kernel = util::kernels::active();
     int best = 0;
     double best_similarity = -2.0;
     for (std::size_t first = 0; first < class_sums_.size(); first += kChunk) {
         const std::size_t count = std::min(kChunk, class_sums_.size() - first);
         for (std::size_t i = 0; i < count; ++i) rows[i] = class_sums_[first + i].values().data();
-        const std::int64_t query_sq =
-            kernel.dot_scores(query.values().data(), rows, count, dim(), dots);
-        // sqrt of the exact integer sum of squares: bit-identical to
-        // IntHV::norm()'s double accumulation whenever the sum is below 2^53
-        // (every partial sum is then an exact double).  At the served shapes
-        // |q[i]| <= N, so the sum is at most D * N^2 <= 1e4 * 784^2 ~ 6.1e9.
-        const double query_norm = std::sqrt(static_cast<double>(query_sq));
+        kernel.dot_scores(q, rows, count, dim(), dots);
         for (std::size_t i = 0; i < count; ++i) {
             const std::size_t c = first + i;
             const double denom = class_norms_[c] * query_norm;
@@ -215,6 +217,14 @@ HdcModel HdcModel::load(util::BinaryReader& reader) {
     for (std::uint64_t i = 0; i < n_bin; ++i) model.class_binary_.push_back(BinaryHV::load(reader));
     if (model.kind_ == ModelKind::binary && model.class_binary_.size() != model.class_sums_.size()) {
         throw FormatError("HdcModel::load: binary model missing binarized class HVs");
+    }
+    // v1 stores a dimension per class HV; scoring reads dim() elements of
+    // every class through raw pointers, so they must all agree (v2 stores
+    // one shared dimension).
+    const auto other_dim = [&model](const auto& hv) { return hv.dim() != model.dim(); };
+    if (std::any_of(model.class_sums_.begin(), model.class_sums_.end(), other_dim) ||
+        std::any_of(model.class_binary_.begin(), model.class_binary_.end(), other_dim)) {
+        throw FormatError("HdcModel::load: class hypervectors differ in dimension");
     }
     model.recompute_norms_();
     return model;

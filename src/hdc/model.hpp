@@ -70,8 +70,8 @@ public:
 
     /// Non-binary inference: argmax cosine(query, ClassHV_j); the query
     /// must have dim() elements.  Class-HV norms are precomputed (and kept
-    /// in sync through training updates), so a call is one dot_scores
-    /// kernel pass: a dot product per class plus the query's sum of squares.
+    /// in sync through training updates), so a call is the dot_scores
+    /// kernel over the class rows plus one pass for the query's own norm.
     int predict(const IntHV& query) const;
     /// Binary inference: argmin Hamming(query, sign(ClassHV_j)).  The
     /// distance scoring runs on the dispatched SIMD word kernels

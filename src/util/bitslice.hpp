@@ -9,7 +9,7 @@
 /// (util/kernels.hpp), which folds rows into bit-sliced count planes in
 /// registers and unpacks them per word block.  naive_accumulate is the slow,
 /// obviously-correct definition it is tested against
-/// (tests/util/bitslice_test.cc, tests/util/kernels_test.cc).
+/// (tests/util/kernels_test.cc).
 
 #include <cstdint>
 #include <span>

@@ -60,10 +60,9 @@ std::int64_t dot(const std::int32_t* a, const std::int32_t* b, std::size_t n) no
     return static_cast<std::int64_t>(sum);
 }
 
-std::int64_t dot_scores(const std::int32_t* query, const std::int32_t* const* class_rows,
-                        std::size_t n_classes, std::size_t n, std::int64_t* dots) noexcept {
+void dot_scores(const std::int32_t* query, const std::int32_t* const* class_rows,
+                std::size_t n_classes, std::size_t n, std::int64_t* dots) noexcept {
     for (std::size_t c = 0; c < n_classes; ++c) dots[c] = dot(query, class_rows[c], n);
-    return dot(query, query, n);
 }
 
 }  // namespace portable

@@ -128,12 +128,12 @@ struct KernelBackend {
     /// Exact non-binary scoring: for every class c < n_classes,
     ///   dots[c] = sum over i < n of int64(query[i]) * class_rows[c][i],
     /// with every product a signed 32x32->64 multiply (no 32-bit
-    /// intermediate).  Returns the query's own sum of squares.  Sums
-    /// accumulate modulo 2^64, identically on every backend, so a result is
-    /// exact whenever the true value fits in int64.
-    std::int64_t (*dot_scores)(const std::int32_t* query, const std::int32_t* const* class_rows,
-                               std::size_t n_classes, std::size_t n,
-                               std::int64_t* dots) noexcept;
+    /// intermediate).  Sums accumulate modulo 2^64, identically on every
+    /// backend, so a result is exact whenever the true value fits in int64.
+    /// A query's own sum of squares is the one-row call with class_rows
+    /// pointing at the query.
+    void (*dot_scores)(const std::int32_t* query, const std::int32_t* const* class_rows,
+                       std::size_t n_classes, std::size_t n, std::int64_t* dots) noexcept;
 };
 
 /// The reference backend (always available).

@@ -297,14 +297,11 @@ void dot_group(const std::int32_t* query, const std::int32_t* const* rows, std::
     }
 }
 
-std::int64_t dot_scores(const std::int32_t* query, const std::int32_t* const* class_rows,
-                        std::size_t n_classes, std::size_t n, std::int64_t* dots) noexcept {
+void dot_scores(const std::int32_t* query, const std::int32_t* const* class_rows,
+                std::size_t n_classes, std::size_t n, std::int64_t* dots) noexcept {
     std::size_t c = 0;
     for (; c + 4 <= n_classes; c += 4) dot_group<4>(query, class_rows + c, n, dots + c);
     for (; c < n_classes; ++c) dot_group<1>(query, class_rows + c, n, dots + c);
-    std::int64_t query_sq = 0;
-    dot_group<1>(query, &query, n, &query_sq);
-    return query_sq;
 }
 
 constexpr KernelBackend kBackend{

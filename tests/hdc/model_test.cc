@@ -257,6 +257,39 @@ TEST(HdcModel, SerializationRoundTrip) {
     EXPECT_EQ(loaded.predict_batch(batch), model.predict_batch(batch));
 }
 
+TEST(HdcModel, LoadRejectsClassHypervectorsOfDifferentDimensions) {
+    // A v1 model stores a dimension per class HV, and scoring reads dim()
+    // elements of every class through raw pointers: a later class that is
+    // shorter (or longer) must be refused at load, not read out of bounds
+    // at predict.
+    const auto load_v1 = [](ModelKind kind, std::size_t last_sum_dim,
+                            std::size_t last_binary_dim) {
+        std::stringstream stream;
+        hdlock::util::BinaryWriter writer(stream);
+        writer.write_tag("MDL1");
+        writer.write_u8(static_cast<std::uint8_t>(kind));
+        writer.write_i32(0);
+        writer.write_u64(3);
+        for (const std::size_t dim : {std::size_t{64}, std::size_t{64}, last_sum_dim}) {
+            IntHV(dim).save(writer);
+        }
+        const bool binary = kind == ModelKind::binary;
+        writer.write_u64(binary ? 3 : 0);
+        if (binary) {
+            for (const std::size_t dim : {std::size_t{64}, std::size_t{64}, last_binary_dim}) {
+                BinaryHV(dim).save(writer);
+            }
+        }
+        hdlock::util::BinaryReader reader(stream);
+        return HdcModel::load(reader);
+    };
+    EXPECT_NO_THROW(load_v1(ModelKind::non_binary, 64, 64));
+    EXPECT_NO_THROW(load_v1(ModelKind::binary, 64, 64));
+    EXPECT_THROW(load_v1(ModelKind::non_binary, 63, 64), hdlock::FormatError);
+    EXPECT_THROW(load_v1(ModelKind::non_binary, 65, 64), hdlock::FormatError);
+    EXPECT_THROW(load_v1(ModelKind::binary, 64, 63), hdlock::FormatError);
+}
+
 // ---------------------------------------------------------------------------
 // Fused predict (HdcModel::predict_fused)
 // ---------------------------------------------------------------------------
