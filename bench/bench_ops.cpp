@@ -33,6 +33,7 @@
 #include <chrono>
 #include <filesystem>
 #include <future>
+#include <map>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -397,16 +398,12 @@ BENCHMARK(BM_ServeBatchSessionCached)->Arg(1)->Arg(2)->Arg(4)->Unit(benchmark::k
 // Serving core (persistent pool + async micro-batching + mmap startup): the
 // numbers behind bench/results/BENCH_*_serving_core.json.
 //
-//  - BM_ServeSmallBatch/{pooled,spawn}/{1,8,64}: small-batch dispatch cost.
-//    `pooled` is the shipping configuration (persistent pool, single-row /
-//    small-batch inline fast path); `spawn` is the legacy thread-per-batch
-//    dispatch forced to fan out (min_rows_per_thread = 1), i.e. what every
-//    predict() used to pay before the pool.  The acceptance bar is >= 2x
-//    rows/s at 8 rows and no regression at large batches.
+//  - BM_ServeSmallBatch/{1,8,64,1024}: small-batch dispatch cost on the
+//    persistent pool (single-row / small-batch calls stay inline).
 //  - BM_ServeConcurrentCallers: p50/p99 single-row latency with 4 caller
-//    threads hammering one shared session, pool vs. spawn.
-//  - BM_ServeAsyncMicroBatch: 64 independent 1-row predict_async() calls
-//    per iteration, coalesced by the SubmitQueue dispatcher.
+//    threads hammering one shared session.
+//  - BM_ServeAsyncMicroBatch: 64 independent 1-row predict_async(Request)
+//    calls per iteration, coalesced by the SubmitQueue dispatcher.
 //  - BM_RouterOpenLoop/<placement>/{shards,burst}: open-loop typed requests
 //    against a ShardRouter fleet — bursts past the shed watermark must come
 //    back Overloaded (bounded queues, bounded p99 queue time) while every
@@ -464,23 +461,14 @@ util::Matrix<float> tile_rows(const util::Matrix<float>& source, std::size_t row
     return batch;
 }
 
-api::SessionOptions serving_mode_options(api::DispatchMode mode) {
-    api::SessionOptions options;
-    options.n_threads = 4;  // the server config BM_ServeBatchSession/4 uses
-    options.dispatch = mode;
-    // The shipping serving configuration keeps the product cache on (it is
-    // bit-identical and makes the per-row encode cheap enough that dispatch
-    // cost is what these benchmarks actually resolve).
-    options.use_product_cache = true;
-    // The legacy dispatch fanned small batches out greedily; the pooled
-    // core keeps its production default (inline below 16 rows/worker).
-    if (mode == api::DispatchMode::spawn) options.min_rows_per_thread = 1;
-    return options;
-}
+/// The server config BM_ServeBatchSession/4 uses, with the product cache on
+/// (bit-identical, and it makes the per-row encode cheap enough that
+/// dispatch cost is what these benchmarks resolve).
+constexpr api::SessionOptions kDispatchBoundOptions{.n_threads = 4, .use_product_cache = true};
 
-void BM_ServeSmallBatch(benchmark::State& state, api::DispatchMode mode) {
+void BM_ServeSmallBatch(benchmark::State& state) {
     const ServingFixture& fixture = latency_fixture();
-    const auto session = fixture.owner.open_session(serving_mode_options(mode));
+    const auto session = fixture.owner.open_session(kDispatchBoundOptions);
     const auto batch = tile_rows(fixture.batch, static_cast<std::size_t>(state.range(0)));
     for (auto _ : state) {
         benchmark::DoNotOptimize(session.predict(batch));
@@ -488,17 +476,14 @@ void BM_ServeSmallBatch(benchmark::State& state, api::DispatchMode mode) {
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                             static_cast<std::int64_t>(batch.rows()));
 }
-BENCHMARK_CAPTURE(BM_ServeSmallBatch, pooled, api::DispatchMode::pooled)
-    ->Arg(1)->Arg(8)->Arg(64)->Arg(1024)->UseRealTime();
-BENCHMARK_CAPTURE(BM_ServeSmallBatch, spawn, api::DispatchMode::spawn)
-    ->Arg(1)->Arg(8)->Arg(64)->Arg(1024)->UseRealTime();
+BENCHMARK(BM_ServeSmallBatch)->Arg(1)->Arg(8)->Arg(64)->Arg(1024)->UseRealTime();
 
 /// Concurrent single-row callers on one shared session: each iteration runs
 /// 4 threads x 64 predict() calls of one row and reports the merged p50/p99
 /// call latency alongside rows/s.
-void BM_ServeConcurrentCallers(benchmark::State& state, api::DispatchMode mode) {
+void BM_ServeConcurrentCallers(benchmark::State& state) {
     const ServingFixture& fixture = latency_fixture();
-    const auto session = fixture.owner.open_session(serving_mode_options(mode));
+    const auto session = fixture.owner.open_session(kDispatchBoundOptions);
     constexpr std::size_t kCallers = 4;
     constexpr std::size_t kCallsPerCaller = 64;
     std::vector<util::Matrix<float>> rows;
@@ -533,10 +518,7 @@ void BM_ServeConcurrentCallers(benchmark::State& state, api::DispatchMode mode) 
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * kCallers *
                             kCallsPerCaller);
 }
-BENCHMARK_CAPTURE(BM_ServeConcurrentCallers, pooled, api::DispatchMode::pooled)
-    ->Unit(benchmark::kMillisecond)->UseRealTime();
-BENCHMARK_CAPTURE(BM_ServeConcurrentCallers, spawn, api::DispatchMode::spawn)
-    ->Unit(benchmark::kMillisecond)->UseRealTime();
+BENCHMARK(BM_ServeConcurrentCallers)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 /// 64 independent 1-row requests per iteration through predict_async(): the
 /// SubmitQueue coalesces them into micro-batches that ride the pool.
@@ -550,10 +532,12 @@ void BM_ServeAsyncMicroBatch(benchmark::State& state) {
     const auto session = fixture.owner.open_session(options);
     constexpr std::size_t kRequests = 64;
     for (auto _ : state) {
-        std::vector<std::future<std::vector<int>>> futures;
+        std::vector<std::future<api::Response>> futures;
         futures.reserve(kRequests);
         for (std::size_t r = 0; r < kRequests; ++r) {
-            futures.push_back(session.predict_async(tile_rows(fixture.batch, 1)));
+            api::Request request;
+            request.rows = tile_rows(fixture.batch, 1);
+            futures.push_back(session.predict_async(std::move(request)));
         }
         for (auto& future : futures) benchmark::DoNotOptimize(future.get());
     }
@@ -783,62 +767,65 @@ void BM_BackendPredictBinary(benchmark::State& state, kernels::Backend kind) {
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 16 * 10000);
 }
 
-/// The serving inner loop end to end at D = 10000, N = 784, 16 classes —
-/// the acceptance workload for the fused encode->distance path.  `fused`
-/// runs HdcModel::predict_fused (count planes stay in registers/L1, no
-/// query HV materialized); `twostep` runs encode_binary_into + predict.
-/// Both use the BoundProductCache, matching a served session's steady state.
+/// The binary serving inner loop end to end at D = 10000 and the paper's
+/// shapes — range(0) = N features, range(1) = classes — served the way a
+/// session serves by default: no BoundProductCache, and each call a new row
+/// from a cycle of 64 distinct rows.  `on` runs HdcModel::predict_fused
+/// (count planes stay in registers/L1, no query HV materialized); `off` runs
+/// encode_binary_into + predict, the two-step body a session keeps for
+/// binary models past kMaxFusedRows.
 struct FusedPredictFixture {
-    std::shared_ptr<const hdc::ItemMemory> memory;
     std::unique_ptr<const hdc::RecordEncoder> encoder;
-    std::shared_ptr<const hdc::BoundProductCache> cache;
     hdc::HdcModel model;
-    std::vector<int> levels;
+    std::vector<std::vector<int>> rows;
 
-    FusedPredictFixture() {
+    FusedPredictFixture(std::size_t n_features, std::size_t n_classes) {
         hdc::ItemMemoryConfig config;
         config.dim = 10000;
-        config.n_features = 784;
+        config.n_features = n_features;
         config.n_levels = 16;
         config.seed = 601;
-        memory = std::make_shared<const hdc::ItemMemory>(hdc::ItemMemory::generate(config));
-        encoder = std::make_unique<const hdc::RecordEncoder>(memory, /*tie_seed=*/7);
-        cache = encoder->make_product_cache(std::size_t{1} << 31);
+        encoder = std::make_unique<const hdc::RecordEncoder>(
+            std::make_shared<const hdc::ItemMemory>(hdc::ItemMemory::generate(config)),
+            /*tie_seed=*/7);
 
         util::Xoshiro256ss rng(602);
         hdc::EncodedBatch batch;
-        for (int c = 0; c < 16; ++c) {
+        for (std::size_t c = 0; c < n_classes; ++c) {
             batch.binary.push_back(hdc::BinaryHV::random(10000, rng));
             batch.non_binary.push_back(hdc::IntHV::from_binary(batch.binary.back()));
-            batch.labels.push_back(c);
+            batch.labels.push_back(static_cast<int>(c));
         }
         hdc::TrainConfig train;
         train.kind = hdc::ModelKind::binary;
-        model = hdc::HdcModel::train(batch, 16, train);
+        model = hdc::HdcModel::train(batch, n_classes, train);
 
-        levels.resize(784);
-        for (auto& level : levels) level = static_cast<int>(rng.next_below(16));
+        rows.resize(64, std::vector<int>(n_features));
+        for (auto& row : rows) {
+            for (auto& level : row) level = static_cast<int>(rng.next_below(16));
+        }
     }
 };
 
-const FusedPredictFixture& fused_predict_fixture() {
-    static const FusedPredictFixture fixture;
-    return fixture;
+const FusedPredictFixture& fused_predict_fixture(std::size_t n_features, std::size_t n_classes) {
+    static std::map<std::pair<std::size_t, std::size_t>, FusedPredictFixture> fixtures;
+    return fixtures.try_emplace({n_features, n_classes}, n_features, n_classes).first->second;
 }
 
 void BM_FusedPredict(benchmark::State& state, kernels::Backend kind, bool fused) {
     const kernels::ScopedBackend pin(kind);
-    const auto& fixture = fused_predict_fixture();
+    const auto& fixture = fused_predict_fixture(static_cast<std::size_t>(state.range(0)),
+                                                static_cast<std::size_t>(state.range(1)));
     hdc::EncoderScratch scratch;
     hdc::BinaryHV query;
+    std::size_t next = 0;
     for (auto _ : state) {
+        const std::vector<int>& levels = fixture.rows[next++ % fixture.rows.size()];
         int label;
         if (fused) {
-            label = fixture.model.predict_fused(*fixture.encoder, fixture.levels, scratch,
-                                                fixture.cache.get());
+            label = fixture.model.predict_fused(*fixture.encoder, levels, scratch);
         } else {
-            fixture.encoder->encode_binary_into(fixture.levels, scratch, query,
-                                                fixture.cache.get());
+            fixture.encoder->encode_binary_into(levels, scratch, query);
             label = fixture.model.predict(query);
         }
         benchmark::DoNotOptimize(label);
@@ -913,10 +900,15 @@ void register_backend_benchmarks() {
                                      BM_BackendPredictBinary, kind);
         benchmark::RegisterBenchmark(("BM_BackendPredictNonBinary" + suffix).c_str(),
                                      BM_BackendPredictNonBinary, kind);
-        benchmark::RegisterBenchmark(("BM_FusedPredict" + suffix + "/on").c_str(),
-                                     BM_FusedPredict, kind, true);
-        benchmark::RegisterBenchmark(("BM_FusedPredict" + suffix + "/off").c_str(),
-                                     BM_FusedPredict, kind, false);
+        for (const bool fused : {true, false}) {
+            benchmark::RegisterBenchmark(
+                ("BM_FusedPredict" + suffix + (fused ? "/on" : "/off")).c_str(),
+                BM_FusedPredict, kind, fused)
+                ->ArgNames({"N", "classes"})
+                ->Args({784, 10})
+                ->Args({617, 26})
+                ->Args({75, 5});
+        }
     }
 }
 

@@ -68,13 +68,16 @@ int main() {
 
     //    Independent small callers go through predict_async(): the session
     //    coalesces concurrent requests into micro-batches on its worker
-    //    pool, and the future resolves to exactly what predict() returns.
-    util::Matrix<float> one_row(1, benchmark.test.n_features());
+    //    pool, and the response carries exactly the labels predict() returns.
+    api::Request request;
+    request.rows = util::Matrix<float>(1, benchmark.test.n_features());
     const auto first = benchmark.test.X.row(0);
-    std::copy(first.begin(), first.end(), one_row.row(0).begin());
-    auto future = session.predict_async(std::move(one_row));
-    std::cout << "async single-row predict agrees with the batch: "
-              << (future.get().front() == predicted.front() ? "yes" : "NO") << "\n";
+    std::copy(first.begin(), first.end(), request.rows.row(0).begin());
+    const api::Response response = session.predict_async(std::move(request)).get();
+    const bool agrees = response.ok() && response.labels.front() == predicted.front();
+    std::cout << "async single-row predict agrees with the batch: " << (agrees ? "yes" : "NO")
+              << "\n";
+    if (!agrees) return 1;
 
     // 5. Deployed state: the key becomes unreadable, the device keeps
     //    working (it holds only materialized feature hypervectors).

@@ -13,7 +13,9 @@
 ///     auto device = api::Device::open_mapped("device.hdlk");  // zero-copy
 ///     auto session = device.open_session({.n_threads = 8});
 ///     std::vector<int> labels = session.predict(batch);       // pooled
-///     auto future = session.predict_async(more_rows);         // micro-batched
+///     api::Request request;
+///     request.rows = std::move(more_rows);
+///     auto future = session.predict_async(std::move(request)); // micro-batched
 ///
 ///     auto router = device.open_router({.n_shards = 4});      // the fleet
 ///     auto response = router.submit({.rows = std::move(rows),

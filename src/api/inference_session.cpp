@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "util/fault_inject.hpp"
+#include "util/kernels.hpp"
 #include "util/sync.hpp"
 #include "util/thread_pool.hpp"
 
@@ -260,57 +261,37 @@ struct InferenceSession::Runtime {
                                  std::memory_order_relaxed);
         }
 
-        /// Settles the in-flight accounting for a request.  Called *before*
-        /// the promise is resolved in every resolve_* path, so a caller that
-        /// has observed the response also observes the decremented counter
-        /// (the router's watermark and tests rely on that ordering).
+        /// Settles the in-flight accounting for a request.  resolve and
+        /// resolve_error call it *before* resolving the promise, so a caller
+        /// that has observed the response also observes the decremented
+        /// counter (the router's watermark and tests rely on that ordering).
         void finish(const AsyncRequest& request) {
             session->inflight_rows_.fetch_sub(static_cast<std::int64_t>(request.rows.rows()),
                                               std::memory_order_relaxed);
         }
 
-        void resolve_labels(AsyncRequest& request, std::vector<int> labels, util::SteadyTime now,
-                            std::uint64_t epoch) {
-            finish(request);
-            if (request.typed) {
-                Response response;
-                response.labels = std::move(labels);
-                response.status = Status::ok;
-                response.shard_id = request.shard_id;
-                response.epoch = epoch;
-                response.queue_time = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                    now - request.enqueued_at);
-                request.typed_promise.set_value(std::move(response));
-            } else {
-                request.promise.set_value(std::move(labels));
-            }
-        }
-
-        void resolve_status(AsyncRequest& request, Status status, util::SteadyTime now,
-                            std::uint64_t epoch) {
+        void resolve(AsyncRequest& request, Status status, std::vector<int> labels,
+                     util::SteadyTime now, std::uint64_t epoch) {
             finish(request);
             Response response;
+            response.labels = std::move(labels);
             response.status = status;
             response.shard_id = request.shard_id;
             response.epoch = epoch;
             response.queue_time = std::chrono::duration_cast<std::chrono::nanoseconds>(
                 now - request.enqueued_at);
-            request.typed_promise.set_value(std::move(response));
+            request.promise.set_value(std::move(response));
         }
 
         void resolve_error(AsyncRequest& request, std::exception_ptr error) {
             finish(request);
-            if (request.typed) {
-                request.typed_promise.set_exception(std::move(error));
-            } else {
-                request.promise.set_exception(std::move(error));
-            }
+            request.promise.set_exception(std::move(error));
         }
 
         void serve_one(AsyncRequest& request, util::SteadyTime now, const ServingState& state) {
             try {
-                resolve_labels(request, session->predict_with_(state, request.rows), now,
-                               state.epoch);
+                resolve(request, Status::ok, session->predict_with_(state, request.rows), now,
+                        state.epoch);
             } catch (...) {
                 resolve_error(request, std::current_exception());
             }
@@ -330,10 +311,10 @@ struct InferenceSession::Runtime {
             std::vector<AsyncRequest> live;
             live.reserve(batch.size());
             for (auto& request : batch) {
-                if (request.typed && request.cancel.cancelled()) {
-                    resolve_status(request, Status::cancelled, now, state->epoch);
-                } else if (request.typed && request.deadline.expired_at(now)) {
-                    resolve_status(request, Status::deadline_exceeded, now, state->epoch);
+                if (request.cancel.cancelled()) {
+                    resolve(request, Status::cancelled, {}, now, state->epoch);
+                } else if (request.deadline.expired_at(now)) {
+                    resolve(request, Status::deadline_exceeded, {}, now, state->epoch);
                 } else {
                     live.push_back(std::move(request));
                 }
@@ -362,14 +343,12 @@ struct InferenceSession::Runtime {
                 const std::vector<int> labels = session->predict_with_(*state, fused);
                 at = 0;
                 for (auto& request : live) {
-                    const std::size_t rows = request.rows.rows();
-                    resolve_labels(
-                        request,
-                        std::vector<int>(labels.begin() + static_cast<std::ptrdiff_t>(at),
-                                         labels.begin() + static_cast<std::ptrdiff_t>(at + rows)),
-                        now, state->epoch);
+                    const auto first = labels.begin() + static_cast<std::ptrdiff_t>(at);
+                    const auto rows = static_cast<std::ptrdiff_t>(request.rows.rows());
+                    resolve(request, Status::ok, std::vector<int>(first, first + rows), now,
+                            state->epoch);
                     ++resolved;
-                    at += rows;
+                    at += request.rows.rows();
                 }
             } catch (...) {
                 // Failure scoping: a fused batch mixes independent callers,
@@ -400,21 +379,18 @@ InferenceSession::InferenceSession(std::shared_ptr<const hdc::Encoder> encoder,
                                    hdc::MinMaxDiscretizer discretizer, hdc::HdcModel model,
                                    SessionOptions options)
     : min_rows_per_thread_(std::max<std::size_t>(options.min_rows_per_thread, 1)),
-      dispatch_(options.dispatch),
       max_batch_(std::max<std::size_t>(options.max_batch, 1)),
       max_queue_delay_(options.max_queue_delay),
       max_queue_rows_(std::max<std::size_t>(options.max_queue_rows, 1)),
       adaptive_queue_delay_(options.adaptive_queue_delay),
-      fused_mode_(options.fused_predict),
       use_product_cache_(options.use_product_cache),
       product_cache_max_bytes_(options.product_cache_max_bytes),
       runtime_(std::make_unique<Runtime>()) {
-    if (options.kernel_backend) util::kernels::set_backend(*options.kernel_backend);
     n_threads_ = options.n_threads != 0 ? options.n_threads : util::hardware_concurrency();
     serving_.store(build_serving_state_(options.epoch, std::move(encoder),
                                         std::move(discretizer), std::move(model), nullptr),
                    std::memory_order_release);
-    if (dispatch_ == DispatchMode::pooled && n_threads_ > 1) {
+    if (n_threads_ > 1) {
         runtime_->pool = std::make_unique<util::ThreadPool>(n_threads_);
         runtime_->slots.reserve(n_threads_);
         for (std::size_t slot = 0; slot < n_threads_; ++slot) {
@@ -426,12 +402,10 @@ InferenceSession::InferenceSession(std::shared_ptr<const hdc::Encoder> encoder,
 InferenceSession::InferenceSession(InferenceSession&& other) noexcept
     : n_threads_(other.n_threads_),
       min_rows_per_thread_(other.min_rows_per_thread_),
-      dispatch_(other.dispatch_),
       max_batch_(other.max_batch_),
       max_queue_delay_(other.max_queue_delay_),
       max_queue_rows_(other.max_queue_rows_),
       adaptive_queue_delay_(other.adaptive_queue_delay_),
-      fused_mode_(other.fused_mode_),
       use_product_cache_(other.use_product_cache_),
       product_cache_max_bytes_(other.product_cache_max_bytes_),
       serving_(other.serving_.load(std::memory_order_acquire)),
@@ -467,24 +441,8 @@ std::shared_ptr<const InferenceSession::ServingState> InferenceSession::build_se
     if (use_product_cache_) {
         state->product_cache = state->encoder->make_product_cache(product_cache_max_bytes_);
     }
-    const bool fusable = state->model.kind() == hdc::ModelKind::binary &&
-                         state->encoder->n_features() <= util::kernels::kMaxFusedRows;
-    switch (fused_mode_) {
-        case FusedPredict::auto_detect:
-            state->fused_predict = fusable;
-            break;
-        case FusedPredict::on:
-            if (!fusable) {
-                throw ConfigError(
-                    "InferenceSession: fused_predict=on requires a binary model with at most " +
-                    std::to_string(util::kernels::kMaxFusedRows) + " features");
-            }
-            state->fused_predict = true;
-            break;
-        case FusedPredict::off:
-            state->fused_predict = false;
-            break;
-    }
+    state->fused_predict = state->model.kind() == hdc::ModelKind::binary &&
+                           state->encoder->n_features() <= util::kernels::kMaxFusedRows;
     return state;
 }
 
@@ -557,6 +515,7 @@ int InferenceSession::predict_one_(const ServingState& state, std::span<const fl
             // two-step path below on every backend.
             return state.model.predict_fused(*state.encoder, levels, worker.scratch, cache);
         }
+        // Two-step: only past the fused kernel's row cap (kMaxFusedRows).
         state.encoder->encode_binary_into(levels, worker.scratch, worker.query, cache);
         return state.model.predict(worker.query);
     }
@@ -584,37 +543,11 @@ void InferenceSession::predict_into_(const ServingState& state, const util::Matr
         return;
     }
 
-    if (dispatch_ == DispatchMode::pooled && runtime_->pool != nullptr) {
-        util::parallel_for(*runtime_->pool, n, workers,
-                           [&](std::size_t begin, std::size_t end, std::size_t slot) {
-                               predict_range_(state, rows, begin, end, out,
-                                              *runtime_->slots[slot]);
-                           });
-        return;
-    }
-
-    // Legacy spawn dispatch: fresh threads and fresh scratch per batch (the
-    // measured baseline the pooled path is benchmarked against).
-    std::vector<util::Thread> threads;
-    std::vector<std::exception_ptr> failures(workers);
-    threads.reserve(workers);
-    const std::size_t chunk = (n + workers - 1) / workers;
-    for (std::size_t w = 0; w < workers; ++w) {
-        const std::size_t begin = w * chunk;
-        const std::size_t end = std::min(begin + chunk, n);
-        threads.emplace_back(util::Thread([this, &state, &rows, &out, &failures, w, begin, end] {
-            try {
-                WorkerState worker;
-                predict_range_(state, rows, begin, end, out, worker);
-            } catch (...) {
-                failures[w] = std::current_exception();
-            }
-        }));
-    }
-    for (auto& thread : threads) thread.join();
-    for (const auto& failure : failures) {
-        if (failure) std::rethrow_exception(failure);
-    }
+    // workers > 1 implies n_threads_ > 1, so the pool exists.
+    util::parallel_for(*runtime_->pool, n, workers,
+                       [&](std::size_t begin, std::size_t end, std::size_t slot) {
+                           predict_range_(state, rows, begin, end, out, *runtime_->slots[slot]);
+                       });
 }
 
 std::vector<int> InferenceSession::predict_with_(const ServingState& state,
@@ -633,36 +566,6 @@ std::vector<int> InferenceSession::predict(const util::Matrix<float>& rows) cons
     // — serves a single epoch even if swap_bundle() lands mid-batch.
     const std::shared_ptr<const ServingState> state = serving_state();
     return predict_with_(*state, rows);
-}
-
-std::future<std::vector<int>> InferenceSession::predict_async(util::Matrix<float> rows) const {
-    std::promise<std::vector<int>> ready;
-    if (rows.rows() == 0) {
-        ready.set_value({});
-        return ready.get_future();
-    }
-    HDLOCK_EXPECTS(rows.cols() == n_features(),
-                   "InferenceSession::predict_async: batch has wrong feature count");
-    Runtime::AsyncCore* core = nullptr;
-    {
-        const util::MutexLock lock(runtime_->async_init);
-        if (runtime_->async == nullptr) {
-            runtime_->async = std::make_unique<Runtime::AsyncCore>(this, max_queue_rows_);
-        }
-        core = runtime_->async.get();
-    }
-    const std::int64_t n = static_cast<std::int64_t>(rows.rows());
-    AsyncRequest request;
-    request.rows = std::move(rows);
-    std::future<std::vector<int>> future = request.promise.get_future();
-    inflight_rows_.fetch_add(n, std::memory_order_relaxed);
-    try {
-        core->queue.push(std::move(request));
-    } catch (...) {
-        inflight_rows_.fetch_sub(n, std::memory_order_relaxed);
-        throw;
-    }
-    return future;
 }
 
 std::future<Response> InferenceSession::predict_async(Request request,
@@ -707,14 +610,11 @@ std::future<Response> InferenceSession::submit_async_(Request request, std::uint
 
     const std::int64_t n = static_cast<std::int64_t>(request.rows.rows());
     AsyncRequest queued{.rows = std::move(request.rows),
-                        .promise = {},
-                        .typed = true,
-                        .typed_promise = {},
                         .deadline = request.deadline,
                         .cancel = std::move(request.cancel),
                         .shard_id = shard_id,
                         .enqueued_at = util::steady_now()};
-    std::future<Response> future = queued.typed_promise.get_future();
+    std::future<Response> future = queued.promise.get_future();
     inflight_rows_.fetch_add(n, std::memory_order_relaxed);
     Status admitted = Status::ok;
     try {
@@ -734,7 +634,7 @@ std::future<Response> InferenceSession::submit_async_(Request request, std::uint
         Response shed;
         shed.status = Status::overloaded;
         shed.shard_id = shard_id;
-        queued.typed_promise.set_value(std::move(shed));
+        queued.promise.set_value(std::move(shed));
     }
     return future;
 }

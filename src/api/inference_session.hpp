@@ -7,8 +7,7 @@
 /// session owns the whole discretize -> encode -> classify chain for a batch
 /// and partitions it across a *persistent* util::ThreadPool it owns for its
 /// lifetime.  Dispatching a batch is one lock + notify — no thread is ever
-/// created on the hot path (DispatchMode::spawn keeps the legacy
-/// thread-per-batch dispatch alive purely as the A/B baseline).
+/// created on the hot path.
 ///
 /// Scratch is pinned per pool slot: each worker keeps its own
 /// hdc::EncoderScratch (levels buffer, bit-sliced counter, sums buffer) plus
@@ -18,15 +17,23 @@
 /// entirely and run on the calling thread against a pooled caller scratch —
 /// predict_row() costs one mutex handoff, not an allocation.
 ///
-/// predict_async() is the micro-batching front door: requests enter a
-/// bounded SubmitQueue and a dispatcher thread coalesces whatever arrives
+/// predict_async(Request) is the micro-batching front door: requests enter
+/// a bounded SubmitQueue and a dispatcher thread coalesces whatever arrives
 /// within `max_queue_delay` (up to `max_batch` rows) into one fused batch,
 /// so many independent small callers amortise dispatch the way one big
-/// batch does.  Results come back through std::future and are bit-identical
-/// to predict() — per-row results are a pure function of the input
-/// regardless of thread count, dispatch mode, coalescing, or whether the
+/// batch does.  Responses come back through std::future and their labels
+/// are bit-identical to predict() — per-row results are a pure function of
+/// the input regardless of thread count, coalescing, or whether the
 /// optional bound-product cache is active (see hdc::Encoder on tie
 /// breaking).
+///
+/// Each row takes one of three bodies, fixed per epoch by the model: binary
+/// models with at most util::kernels::kMaxFusedRows features are scored by
+/// the fused encode→distance kernel, larger binary models encode a query
+/// hypervector and take its Hamming argmin, and non-binary models encode
+/// integer sums and take the cosine argmax.  There is no switch between
+/// them — fusion is a throughput choice with identical labels, and it won
+/// on every backend at every paper shape measured (DESIGN.md §11).
 ///
 /// Epochs and hot swap (DESIGN.md §12): everything a served row reads —
 /// encoder, discretizer, model, bound-product cache, fused flag, the mmap
@@ -59,28 +66,11 @@
 #include "hdc/encoder.hpp"
 #include "hdc/model.hpp"
 #include "util/deadline.hpp"
-#include "util/kernels.hpp"
 #include "util/matrix.hpp"
 #include "util/sync.hpp"
 #include "util/thread_annotations.hpp"
 
 namespace hdlock::api {
-
-enum class DispatchMode : std::uint8_t {
-    /// Persistent worker pool owned by the session (the default).
-    pooled = 0,
-    /// Legacy fresh-std::thread-per-batch dispatch.  Kept as the measured
-    /// baseline for the serving-core benchmarks and the cross-mode
-    /// bit-identity tests; not intended for production serving.
-    spawn = 1
-};
-
-/// SessionOptions::fused_predict states.
-enum class FusedPredict : std::uint8_t {
-    auto_detect = 0,  ///< fused when the model is binary and the shape fits
-    on = 1,           ///< required — construction throws when unsupported
-    off = 2           ///< always the two-step encode+predict baseline
-};
 
 struct SessionOptions {
     /// Worker threads for batch predict(); 0 picks the hardware concurrency.
@@ -99,27 +89,6 @@ struct SessionOptions {
     bool use_product_cache = false;
     /// Byte cap on the product cache (default 256 MiB).
     std::size_t product_cache_max_bytes = std::size_t{256} << 20;
-    /// Pins the SIMD kernel backend before the session serves anything.
-    /// Dispatch lives at the word-kernel layer and is process-global, so the
-    /// pin configures the whole process, not just this session — intended
-    /// for reproducibility pins ("this deployment serves on portable") and
-    /// A/B measurement, where one process serves one configuration anyway.
-    /// Unset keeps whatever is active (auto-detection or a previous pin).
-    /// Construction throws ConfigError when the backend is not available on
-    /// this host; results are bit-identical across backends either way.
-    std::optional<util::kernels::Backend> kernel_backend = std::nullopt;
-    /// Fused encode→distance predict for binary models: the per-row body
-    /// calls hdc::HdcModel::predict_fused, which scores every class inside
-    /// the kernel backend without materializing the query hypervector.
-    /// auto_detect (default) enables it whenever the model is binary and
-    /// the feature count fits the fused-path cap; `off` keeps the two-step
-    /// encode+predict path (the A/B baseline); `on` insists — construction
-    /// throws ConfigError when the session cannot honor it (non-binary
-    /// model, or n_features() > util::kernels::kMaxFusedRows).  Labels are
-    /// bit-identical either way, on every backend.
-    FusedPredict fused_predict = FusedPredict::auto_detect;
-    /// How batches reach the workers (see DispatchMode).
-    DispatchMode dispatch = DispatchMode::pooled;
     /// predict_async() micro-batching: the dispatcher fuses queued requests
     /// into batches of at most this many rows.
     std::size_t max_batch = 256;
@@ -164,17 +133,12 @@ struct BundleSnapshot {
 std::size_t planned_workers(std::size_t n_rows, std::size_t n_threads,
                             std::size_t min_rows_per_thread) noexcept;
 
-/// One queued predict_async() request.  Two transports share the queue:
-/// the legacy path resolves `promise` with bare labels, the typed path
-/// (predict_async(Request)) resolves `typed_promise` with a full Response —
-/// `typed` discriminates (std::promise cannot be type-erased after the
-/// future is handed out).  Deadline/cancel/enqueue metadata ride along so
-/// the dispatcher can drop doomed requests before paying for encode.
+/// One queued predict_async() request: the rows, the promise its Response
+/// resolves, and the deadline/cancel/enqueue metadata the dispatcher needs
+/// to drop a doomed request before paying for encode.
 struct AsyncRequest {
     util::Matrix<float> rows;
-    std::promise<std::vector<int>> promise;
-    bool typed = false;
-    std::promise<Response> typed_promise;
+    std::promise<Response> promise{};
     util::Deadline deadline{};
     CancelToken cancel{};
     std::uint32_t shard_id = 0;
@@ -237,15 +201,12 @@ private:
 
 /// Predict-surface convention (shared by InferenceSession, Owner, Device
 /// and ShardRouter — see DESIGN.md §10):
-///   predict(Matrix)        -> vector<int>        synchronous batch
-///   predict_row(span)      -> int                synchronous single row
-///   predict_async(Matrix)  -> future<vector<int>> legacy async transport
-///   predict_async(Request) -> future<Response>    typed async transport
-///   try_predict_async(Request) -> future<Response> non-blocking admission
-/// Inputs are spans/matrices of raw feature values; typed results carry a
-/// Status instead of smuggling control flow through exceptions.  The legacy
-/// Matrix overload stays as a thin wrapper over the typed path and remains
-/// byte-identical — nothing is silently deprecated.
+///   predict(Matrix)            -> vector<int>       synchronous batch
+///   predict_row(span)          -> int               synchronous single row
+///   predict_async(Request)     -> future<Response>  queued, blocks when full
+///   try_predict_async(Request) -> future<Response>  queued, sheds when full
+/// Inputs are spans/matrices of raw feature values; async results carry a
+/// Status instead of smuggling control flow through exceptions.
 class InferenceSession {
 public:
     /// One immutable epoch of serving state: everything a served row reads,
@@ -287,22 +248,19 @@ public:
     /// in row order.
     std::vector<int> predict(const util::Matrix<float>& rows) const;
 
-    /// Queues the batch for the micro-batching dispatcher and returns a
-    /// future resolving to the same labels predict() would produce.  Small
+    /// Async serving: queues the request for the micro-batching dispatcher
+    /// and resolves a Response carrying labels plus Status.  Small
     /// concurrent requests are fused into one pooled batch; backpressure
-    /// blocks the caller while `max_queue_rows` are already queued.  The
-    /// first call lazily starts the dispatcher thread.
-    std::future<std::vector<int>> predict_async(util::Matrix<float> rows) const;
-
-    /// Typed async serving: queues the request and resolves a Response
-    /// carrying labels plus Status.  Deadline and cancellation are checked
-    /// at submit and again by the dispatcher *before* encode, so a doomed
-    /// request never pays for inference; an Ok response's labels are
-    /// byte-identical to predict() on the same rows.  Blocks for
-    /// backpressure like the Matrix overload.  Genuine internal failures
-    /// still surface as exceptions through the future (they are bugs, not
-    /// load).  `shard_id` is stamped into Response::shard_id verbatim (the
-    /// router passes the chosen shard's index; direct callers leave it 0).
+    /// blocks the caller while `max_queue_rows` are already queued, and the
+    /// first call lazily starts the dispatcher thread.  Deadline and
+    /// cancellation are checked at submit and again by the dispatcher
+    /// *before* encode, so a doomed request never pays for inference; an Ok
+    /// response's labels are byte-identical to predict() on the same rows.
+    /// A wrong feature count throws ContractViolation in the caller.
+    /// Genuine internal failures surface as exceptions through the future
+    /// (they are bugs, not load).  `shard_id` is stamped into
+    /// Response::shard_id verbatim (the router passes the chosen shard's
+    /// index; direct callers leave it 0).
     std::future<Response> predict_async(Request request, std::uint32_t shard_id = 0) const;
 
     /// Like predict_async(Request) but never blocks: when the submit queue
@@ -317,10 +275,10 @@ public:
     int predict_row(std::span<const float> row) const;
 
     /// RCU hot swap: validates the rotated bundle's serving state (trained
-    /// model, matching shapes, same feature count as the current epoch, the
-    /// configured fused/product-cache options still satisfiable), builds the
-    /// new immutable ServingState — product cache precomputed here, while
-    /// the old epoch still serves — and installs it with one atomic
+    /// model, matching shapes, same feature count as the current epoch),
+    /// builds the new immutable ServingState — fused path re-decided for
+    /// the new model, product cache precomputed here while the old epoch
+    /// still serves — and installs it with one atomic
     /// exchange.  In-flight requests finish on the old epoch's snapshot;
     /// requests submitted after the swap serve the new epoch; per-slot
     /// scratch rebuilds lazily on first touch of the new epoch.  Throws
@@ -344,14 +302,14 @@ public:
 
     std::size_t n_features() const noexcept { return serving_state()->encoder->n_features(); }
     std::size_t n_threads() const noexcept { return n_threads_; }
-    DispatchMode dispatch_mode() const noexcept { return dispatch_; }
     /// True when the current epoch holds a materialized bound-product cache
     /// (the opt-in was taken and the table fit under the byte cap).
     bool product_cache_active() const noexcept {
         return serving_state()->product_cache != nullptr;
     }
-    /// True when binary rows are served through the fused encode→distance
-    /// kernel path (see SessionOptions::fused_predict).
+    /// True when rows are served through the fused encode→distance kernel
+    /// path: the current epoch's model is binary and n_features() is at
+    /// most util::kernels::kMaxFusedRows.
     bool fused_predict_active() const noexcept { return serving_state()->fused_predict; }
     /// Current epoch's model/discretizer.  The references read through the
     /// installed state: valid until the next swap_bundle() (hold
@@ -385,9 +343,9 @@ private:
     struct Runtime;
 
     /// Validates and assembles one epoch of serving state under this
-    /// session's options (fused mode honored, product cache precomputed).
-    /// Throws ConfigError naming the violation; swap_bundle wraps that in
-    /// RotationError, the constructor lets it surface as-is.
+    /// session's options (fused path decided, product cache precomputed).
+    /// Throws ContractViolation naming the violation; swap_bundle wraps that
+    /// in RotationError, the constructor lets it surface as-is.
     std::shared_ptr<const ServingState> build_serving_state_(
         std::uint64_t epoch, std::shared_ptr<const hdc::Encoder> encoder,
         hdc::MinMaxDiscretizer discretizer, hdc::HdcModel model,
@@ -414,13 +372,11 @@ private:
 
     std::size_t n_threads_ = 1;
     std::size_t min_rows_per_thread_ = 16;
-    DispatchMode dispatch_ = DispatchMode::pooled;
     std::size_t max_batch_ = 256;
     std::chrono::microseconds max_queue_delay_{200};
     std::size_t max_queue_rows_ = 8192;
     bool adaptive_queue_delay_ = false;
     /// Options a swap must re-apply when building the next epoch's state.
-    FusedPredict fused_mode_ = FusedPredict::auto_detect;
     bool use_product_cache_ = false;
     std::size_t product_cache_max_bytes_ = std::size_t{256} << 20;
     /// The RCU cell: the current epoch's immutable serving state.  Readers

@@ -1,12 +1,7 @@
 #pragma once
 
 /// \file request.hpp
-/// Typed request/response surface for the serving tier.
-///
-/// The original async front door was `predict_async(Matrix) ->
-/// future<vector<int>>`: no way to express a latency budget, no way to give
-/// up on a queued request, and every non-label outcome had to be smuggled
-/// through the future as an exception.  This header is the redesigned
+/// Typed request/response surface for the serving tier — the one async
 /// contract the router and session share:
 ///
 ///   Request  — rows plus serving metadata (deadline, priority, placement
@@ -14,15 +9,16 @@
 ///   Response — labels plus a Status and serving telemetry (which shard,
 ///              how long the request sat queued).
 ///
-/// Status covers the *control-flow* outcomes of serving — the request was
-/// served, timed out, shed, or cancelled; these are expected operating
-/// states, not errors, and resolving them through a value keeps the hot
-/// path exception-free.  Genuine internal failures (contract violations,
-/// encoder faults) still propagate as exceptions through the future; they
-/// indicate a bug, not load.
+/// A bare future of labels could express neither a latency budget nor a
+/// withdrawn request.  Status covers the *control-flow* outcomes of serving
+/// — the request was served, timed out, shed, or cancelled; these are
+/// expected operating states, not errors, and resolving them through a
+/// value keeps the hot path exception-free.  Genuine internal failures
+/// (contract violations, encoder faults) still propagate as exceptions
+/// through the future; they indicate a bug, not load.
 ///
 /// Determinism: labels in an Ok response are a pure function of the rows —
-/// identical across shard counts, placement policies, and dispatch modes.
+/// identical across shard counts, placement policies, and thread counts.
 /// Deadlines/priority/keys decide only *whether and where* a request is
 /// served.  `queue_time` is wall-clock telemetry and is the one
 /// nondeterministic field; eval scenarios must keep anything derived from

@@ -23,9 +23,9 @@
 /// compiled-in backend the CPU supports, overridable by the environment
 /// variable HDLOCK_KERNEL_BACKEND=portable|neon|avx2|avx512 (an unavailable
 /// or unknown value warns once on stderr and falls back to auto-detection —
-/// a deployment artifact must degrade, not crash) and by set_backend() for
-/// tests and serving code that must pin a specific implementation
-/// (api::SessionOptions::kernel_backend).
+/// a deployment artifact must degrade, not crash) and by set_backend() /
+/// ScopedBackend for tests and tools that must pin a specific
+/// implementation (hdlock_eval --backend calls set_backend()).
 ///
 /// Contract: every backend is bit-identical to portable on every input.
 /// All kernels are exact integer arithmetic with order-independent

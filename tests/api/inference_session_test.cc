@@ -17,6 +17,7 @@
 #include "api/facades.hpp"
 #include "data/synthetic.hpp"
 #include "hdc/classifier.hpp"
+#include "util/kernels.hpp"
 
 namespace {
 
@@ -59,6 +60,24 @@ Pipeline make_pipeline(hdc::ModelKind kind) {
     return Pipeline{std::move(data), std::move(owner), std::move(classifier)};
 }
 
+/// The reference labels of the test split: the per-row predict_row loop.
+std::vector<int> reference_labels(const Pipeline& pipeline) {
+    std::vector<int> labels;
+    for (std::size_t s = 0; s < pipeline.data.test.n_samples(); ++s) {
+        labels.push_back(pipeline.classifier.predict_row(pipeline.data.test.X.row(s)));
+    }
+    return labels;
+}
+
+/// Row `r` of `X` as a one-row async request.
+api::Request row_request(const util::Matrix<float>& X, std::size_t r) {
+    api::Request request;
+    request.rows = util::Matrix<float>(1, X.cols());
+    const auto source = X.row(r);
+    std::copy(source.begin(), source.end(), request.rows.row(0).begin());
+    return request;
+}
+
 }  // namespace
 
 class InferenceSessionThreads
@@ -93,34 +112,19 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 TEST(InferenceSession, KernelBackendPinIsBitIdentical) {
-    // Pinning any available SIMD kernel backend through SessionOptions must
-    // not change a single prediction; an unavailable backend is a named
-    // ConfigError at construction.  The pin is process-global, so restore
-    // the original backend when done.
+    // Serving on any available SIMD kernel backend must reproduce the
+    // reference labels (computed on the default backend) for both model
+    // kinds.  The pin is process-global and scoped to each iteration.
     namespace kernels = util::kernels;
-    const kernels::ScopedBackend restore(kernels::active_kind());
-    const Pipeline pipeline = make_pipeline(hdc::ModelKind::binary);
-
-    std::vector<int> reference;
-    for (const kernels::Backend kind : kernels::available_backends()) {
-        api::SessionOptions options;
-        options.kernel_backend = kind;
-        const auto session = pipeline.owner.open_session(options);
-        EXPECT_EQ(kernels::active_kind(), kind);
-        const auto predictions = session.predict(pipeline.data.test.X);
-        if (reference.empty()) {
-            reference = predictions;
-        } else {
-            EXPECT_EQ(predictions, reference) << kernels::backend_name(kind);
+    for (const hdc::ModelKind kind : {hdc::ModelKind::binary, hdc::ModelKind::non_binary}) {
+        const Pipeline pipeline = make_pipeline(kind);
+        const std::vector<int> reference = reference_labels(pipeline);
+        for (const kernels::Backend backend : kernels::available_backends()) {
+            const kernels::ScopedBackend pin(backend);
+            const auto session = pipeline.owner.open_session();
+            EXPECT_EQ(session.predict(pipeline.data.test.X), reference)
+                << kernels::backend_name(backend);
         }
-    }
-
-    for (const kernels::Backend kind : {kernels::Backend::avx2, kernels::Backend::avx512}) {
-        if (kernels::available(kind)) continue;
-        api::SessionOptions options;
-        options.kernel_backend = kind;
-        EXPECT_THROW(pipeline.owner.open_session(options), ConfigError)
-            << kernels::backend_name(kind);
     }
 }
 
@@ -180,7 +184,7 @@ TEST(InferenceSession, SmallBatchStaysSequentialButIdentical) {
 TEST(InferenceSession, PlannedWorkersNeverReceiveEmptyRanges) {
     // Regression: chunk = ceil(n/workers) can strand trailing workers past
     // the end of the batch (n=13, 6 threads -> chunk 3 -> worker 5 would
-    // start at row 15).  The spawn count is clamped to ceil(n/chunk).
+    // start at row 15).  The worker count is clamped to ceil(n/chunk).
     EXPECT_EQ(api::planned_workers(13, 6, 1), 5u);
     EXPECT_EQ(api::planned_workers(10, 4, 1), 4u);   // 10/4 -> chunk 3 -> 4 workers
     EXPECT_EQ(api::planned_workers(9, 4, 1), 3u);    // chunk 3 -> exactly 3
@@ -280,32 +284,9 @@ TEST(InferenceSession, RejectsMismatchedComponents) {
 }
 
 // ---------------------------------------------------------------------------
-// The persistent serving core: pooled dispatch, the async micro-batching
-// front door, and the SubmitQueue underneath it.
+// The persistent serving core: the pool, the async micro-batching front
+// door, and the SubmitQueue underneath it.
 // ---------------------------------------------------------------------------
-
-TEST(InferenceSession, PooledAndSpawnDispatchAreBitIdentical) {
-    const Pipeline pipeline = make_pipeline(hdc::ModelKind::binary);
-    std::vector<int> reference;
-    for (const api::DispatchMode mode : {api::DispatchMode::pooled, api::DispatchMode::spawn}) {
-        for (const std::size_t n_threads : {1u, 2u, 4u}) {
-            api::SessionOptions options;
-            options.dispatch = mode;
-            options.n_threads = n_threads;
-            options.min_rows_per_thread = 1;
-            const auto session = pipeline.owner.open_session(options);
-            EXPECT_EQ(session.dispatch_mode(), mode);
-            const auto predictions = session.predict(pipeline.data.test.X);
-            if (reference.empty()) {
-                reference = predictions;
-            } else {
-                EXPECT_EQ(predictions, reference)
-                    << (mode == api::DispatchMode::pooled ? "pooled" : "spawn") << " T"
-                    << n_threads;
-            }
-        }
-    }
-}
 
 TEST(InferenceSession, PoolIsReusedAcrossManyBatches) {
     // The tentpole claim: many dispatches, one persistent pool, results
@@ -323,48 +304,39 @@ TEST(InferenceSession, PoolIsReusedAcrossManyBatches) {
 }
 
 TEST(InferenceSession, PredictAsyncMatchesPredictBitExactly) {
+    // The async path against the reference labels predict() is held to.
+    // Zero-row requests are covered by TypedRequestMatchesPredictBitExactly.
     const Pipeline pipeline = make_pipeline(hdc::ModelKind::binary);
-    api::SessionOptions options;
-    options.n_threads = 2;
-    options.min_rows_per_thread = 1;
-    const auto session = pipeline.owner.open_session(options);
-    const auto reference = session.predict(pipeline.data.test.X);
+    const std::vector<int> reference = reference_labels(pipeline);
+    const auto& X = pipeline.data.test.X;
+    for (const std::size_t n_threads : {1u, 2u, 4u}) {
+        api::SessionOptions options;
+        options.n_threads = n_threads;
+        options.min_rows_per_thread = 1;
+        const auto session = pipeline.owner.open_session(options);
 
-    // Zero-row: a ready, empty future without touching the queue.
-    auto empty = session.predict_async(util::Matrix<float>());
-    EXPECT_TRUE(empty.get().empty());
+        // Row-at-a-time: micro-batching must not change a single label.
+        std::vector<std::future<api::Response>> futures;
+        for (std::size_t r = 0; r < X.rows(); ++r) {
+            futures.push_back(session.predict_async(row_request(X, r)));
+        }
+        for (std::size_t r = 0; r < futures.size(); ++r) {
+            const api::Response response = futures[r].get();
+            ASSERT_TRUE(response.ok());
+            ASSERT_EQ(response.labels.size(), 1u);
+            EXPECT_EQ(response.labels[0], reference[r]) << "row " << r << ", T" << n_threads;
+        }
 
-    // Whole batch through the async path.
-    auto whole = session.predict_async(pipeline.data.test.X);
-    EXPECT_EQ(whole.get(), reference);
-
-    // Row-at-a-time through the async path: micro-batching must not change
-    // a single label.
-    std::vector<std::future<std::vector<int>>> futures;
-    for (std::size_t r = 0; r < pipeline.data.test.n_samples(); ++r) {
-        util::Matrix<float> row(1, pipeline.data.test.n_features());
-        const auto source = pipeline.data.test.X.row(r);
-        std::copy(source.begin(), source.end(), row.row(0).begin());
-        futures.push_back(session.predict_async(std::move(row)));
-    }
-    for (std::size_t r = 0; r < futures.size(); ++r) {
-        const auto labels = futures[r].get();
-        ASSERT_EQ(labels.size(), 1u);
-        EXPECT_EQ(labels[0], reference[r]) << "row " << r;
-    }
-
-    // Shape violations surface in the caller, not in the dispatcher.
-    EXPECT_THROW(session.predict_async(util::Matrix<float>(2, 5)), ContractViolation);
-
-    // And the async path agrees at every thread count (1 worker, many, and
-    // the spawn dispatch), not just the one above.
-    for (const std::size_t n_threads : {1u, 4u}) {
-        api::SessionOptions other;
-        other.n_threads = n_threads;
-        other.min_rows_per_thread = 1;
-        const auto other_session = pipeline.owner.open_session(other);
-        EXPECT_EQ(other_session.predict_async(pipeline.data.test.X).get(), reference)
+        // Whole batch, at every thread count.
+        api::Request whole;
+        whole.rows = X;
+        EXPECT_EQ(session.predict_async(std::move(whole)).get().labels, reference)
             << n_threads << " threads";
+
+        // Shape violations surface in the caller, not in the dispatcher.
+        api::Request misshapen;
+        misshapen.rows = util::Matrix<float>(2, 5);
+        EXPECT_THROW(session.predict_async(std::move(misshapen)), ContractViolation);
     }
 }
 
@@ -376,7 +348,7 @@ TEST(InferenceSession, ConcurrentSubmittersUnderStress) {
     options.max_batch = 32;
     options.max_queue_rows = 64;  // small queue: exercises backpressure
     const auto session = pipeline.owner.open_session(options);
-    const auto reference = session.predict(pipeline.data.test.X);
+    const std::vector<int> reference = reference_labels(pipeline);
     const std::size_t n_rows = pipeline.data.test.n_samples();
 
     constexpr std::size_t kSubmitters = 6;
@@ -384,16 +356,13 @@ TEST(InferenceSession, ConcurrentSubmittersUnderStress) {
     std::vector<std::vector<int>> results(kSubmitters);
     for (std::size_t t = 0; t < kSubmitters; ++t) {
         submitters.emplace_back(util::Thread([&, t] {
-            std::vector<std::future<std::vector<int>>> futures;
+            std::vector<std::future<api::Response>> futures;
             for (std::size_t r = 0; r < n_rows; ++r) {
-                util::Matrix<float> row(1, pipeline.data.test.n_features());
-                const auto source = pipeline.data.test.X.row(r);
-                std::copy(source.begin(), source.end(), row.row(0).begin());
-                futures.push_back(session.predict_async(std::move(row)));
+                futures.push_back(session.predict_async(row_request(pipeline.data.test.X, r)));
             }
             for (auto& future : futures) {
-                const auto labels = future.get();
-                results[t].push_back(labels.at(0));
+                const api::Response response = future.get();
+                results[t].push_back(response.ok() ? response.labels.at(0) : -1);
             }
         }));
     }
@@ -401,7 +370,7 @@ TEST(InferenceSession, ConcurrentSubmittersUnderStress) {
     for (std::size_t t = 0; t < kSubmitters; ++t) {
         EXPECT_EQ(results[t], reference) << "submitter " << t;
     }
-    EXPECT_EQ(session.rows_served(), (kSubmitters + 1) * n_rows);
+    EXPECT_EQ(session.rows_served(), kSubmitters * n_rows);
 }
 
 TEST(InferenceSession, ConcurrentPredictCallersShareThePoolSafely) {
@@ -436,7 +405,7 @@ TEST(InferenceSession, ConcurrentPredictCallersShareThePoolSafely) {
 TEST(SubmitQueue, CoalescesQueuedRequestsIntoOneMicroBatch) {
     api::SubmitQueue queue(/*max_rows=*/1024);
     for (int i = 0; i < 3; ++i) {
-        queue.push(api::AsyncRequest{.rows = util::Matrix<float>(2, 4), .promise = {}});
+        queue.push(api::AsyncRequest{.rows = util::Matrix<float>(2, 4)});
     }
     EXPECT_EQ(queue.queued_rows(), 6u);
     const auto batch = queue.pop_batch(/*max_batch=*/256, std::chrono::microseconds(0));
@@ -447,7 +416,7 @@ TEST(SubmitQueue, CoalescesQueuedRequestsIntoOneMicroBatch) {
 TEST(SubmitQueue, RespectsMaxBatchAndTakesWholeRequests) {
     api::SubmitQueue queue(/*max_rows=*/1024);
     for (int i = 0; i < 4; ++i) {
-        queue.push(api::AsyncRequest{.rows = util::Matrix<float>(3, 4), .promise = {}});
+        queue.push(api::AsyncRequest{.rows = util::Matrix<float>(3, 4)});
     }
     // 3 + 3 = 6 <= 7, adding the third request would exceed max_batch.
     const auto batch = queue.pop_batch(/*max_batch=*/7, std::chrono::microseconds(0));
@@ -458,15 +427,14 @@ TEST(SubmitQueue, RespectsMaxBatchAndTakesWholeRequests) {
 TEST(SubmitQueue, OversizedRequestIsAdmittedAloneAndCloseWakesProducers) {
     api::SubmitQueue queue(/*max_rows=*/4);
     // Larger than the whole queue: admitted when the queue is empty.
-    queue.push(api::AsyncRequest{.rows = util::Matrix<float>(9, 2), .promise = {}});
+    queue.push(api::AsyncRequest{.rows = util::Matrix<float>(9, 2)});
     EXPECT_EQ(queue.queued_rows(), 9u);
     const auto batch = queue.pop_batch(/*max_batch=*/4, std::chrono::microseconds(0));
     ASSERT_EQ(batch.size(), 1u);  // whole requests are never split
     EXPECT_EQ(batch.front().rows.rows(), 9u);
 
     queue.close();
-    EXPECT_THROW(queue.push(api::AsyncRequest{.rows = util::Matrix<float>(1, 2), .promise = {}}),
-                 Error);
+    EXPECT_THROW(queue.push(api::AsyncRequest{.rows = util::Matrix<float>(1, 2)}), Error);
     EXPECT_TRUE(queue.pop_batch(4, std::chrono::microseconds(0)).empty());
 }
 
@@ -479,8 +447,7 @@ TEST(SubmitQueue, TrySubmitRefusesWhenFullWithoutConsumingTheRequest) {
 
     api::AsyncRequest second;
     second.rows = util::Matrix<float>(2, 2);
-    second.typed = true;
-    auto future = second.typed_promise.get_future();
+    auto future = second.promise.get_future();
     // 3 + 2 > 4 and the queue is non-empty: refused, and — unlike push(),
     // which would block — the caller gets the request back untouched
     // (try_submit only moves from its argument on acceptance).
@@ -488,7 +455,7 @@ TEST(SubmitQueue, TrySubmitRefusesWhenFullWithoutConsumingTheRequest) {
     EXPECT_EQ(second.rows.rows(), 2u);
     api::Response shed;
     shed.status = api::Status::overloaded;
-    second.typed_promise.set_value(std::move(shed));
+    second.promise.set_value(std::move(shed));
     EXPECT_EQ(future.get().status, api::Status::overloaded);
 
     api::AsyncRequest third;
@@ -666,72 +633,84 @@ TEST(InferenceSession, FusedBatchExceptionIsScopedToTheOffendingRequest) {
     options.max_queue_delay = std::chrono::microseconds(2'000'000);  // ...for up to 2 s
     const api::InferenceSession session(poison, classifier.discretizer(), classifier.model(),
                                         options);
-    const api::InferenceSession reference(clean, classifier.discretizer(), classifier.model());
-
-    std::array<util::Matrix<float>, 3> rows;
-    std::array<std::vector<int>, 3> expected;
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-        rows[i] = util::Matrix<float>(1, spec.n_features);
-        const auto source = data.test.X.row(i);
-        std::copy(source.begin(), source.end(), rows[i].row(0).begin());
-        expected[i] = reference.predict(rows[i]);
-    }
 
     // Encode call sequence: fused batch encodes rows 0,1 (call #1 throws,
     // row 2 is never reached), then the per-request retries encode calls
     // #2 (request 0), #3 (request 1, throws again), #4 (request 2).
     poison->arm({1, 3});
-    auto f0 = session.predict_async(util::Matrix<float>(rows[0]));
-    auto f1 = session.predict_async(util::Matrix<float>(rows[1]));
-    auto f2 = session.predict_async(util::Matrix<float>(rows[2]));
+    auto f0 = session.predict_async(row_request(data.test.X, 0));
+    auto f1 = session.predict_async(row_request(data.test.X, 1));
+    auto f2 = session.predict_async(row_request(data.test.X, 2));
 
-    EXPECT_EQ(f0.get(), expected[0]);
+    EXPECT_EQ(f0.get().labels, std::vector<int>{classifier.predict_row(data.test.X.row(0))});
     EXPECT_THROW(f1.get(), std::runtime_error);
-    EXPECT_EQ(f2.get(), expected[2]);
+    EXPECT_EQ(f2.get().labels, std::vector<int>{classifier.predict_row(data.test.X.row(2))});
 }
 
 // ---------------------------------------------------------------------------
-// Fused encode→distance predict (SessionOptions::fused_predict)
+// Fused encode→distance predict: on exactly for binary models within
+// util::kernels::kMaxFusedRows features.
 // ---------------------------------------------------------------------------
 
 TEST(InferenceSession, FusedPredictAutoDetectsBinaryModelsOnly) {
     const Pipeline binary = make_pipeline(hdc::ModelKind::binary);
     EXPECT_TRUE(binary.owner.open_session().fused_predict_active())
-        << "binary models within the row cap must auto-enable the fused path";
+        << "binary models within the row cap must serve through the fused path";
 
     const Pipeline non_binary = make_pipeline(hdc::ModelKind::non_binary);
     EXPECT_FALSE(non_binary.owner.open_session().fused_predict_active());
-
-    api::SessionOptions off;
-    off.fused_predict = api::FusedPredict::off;
-    EXPECT_FALSE(binary.owner.open_session(off).fused_predict_active());
-
-    api::SessionOptions on;
-    on.fused_predict = api::FusedPredict::on;
-    EXPECT_TRUE(binary.owner.open_session(on).fused_predict_active());
-    EXPECT_THROW(non_binary.owner.open_session(on), ConfigError)
-        << "forcing fusion on a non-binary model must fail loudly at open";
 }
 
 TEST(InferenceSession, FusedPredictLabelsMatchTwoStepPathBitExactly) {
+    // predict_row of the reference classifier is the two-step path:
+    // encode_binary, then the Hamming argmin over the class hypervectors.
     const Pipeline pipeline = make_pipeline(hdc::ModelKind::binary);
-    api::SessionOptions off;
-    off.fused_predict = api::FusedPredict::off;
-    const auto unfused = pipeline.owner.open_session(off);
-    ASSERT_FALSE(unfused.fused_predict_active());
-    const auto reference = unfused.predict(pipeline.data.test.X);
-
+    const std::vector<int> reference = reference_labels(pipeline);
     for (const bool cached : {false, true}) {
         for (const std::size_t n_threads : {1u, 4u}) {
             api::SessionOptions options;
-            options.fused_predict = api::FusedPredict::on;
             options.use_product_cache = cached;
             options.n_threads = n_threads;
             options.min_rows_per_thread = 1;
             const auto fused = pipeline.owner.open_session(options);
+            ASSERT_TRUE(fused.fused_predict_active());
             EXPECT_EQ(fused.predict(pipeline.data.test.X), reference)
                 << "cached=" << cached << " T" << n_threads;
         }
+    }
+}
+
+TEST(InferenceSession, BinaryModelPastTheFusedRowCapServesTwoStep) {
+    // One feature more than the fused kernel can count: the session keeps
+    // the binary model on encode_binary_into + predict(BinaryHV).
+    data::SyntheticSpec spec;
+    spec.name = "wide";
+    spec.n_features = util::kernels::kMaxFusedRows + 1;
+    spec.n_classes = 2;
+    spec.n_train = 8;
+    spec.n_test = 6;
+    spec.n_levels = 4;
+    spec.seed = 5;
+    const auto data = data::make_benchmark(spec);
+
+    hdc::ItemMemoryConfig memory_config;
+    memory_config.dim = 64;
+    memory_config.n_features = spec.n_features;
+    memory_config.n_levels = spec.n_levels;
+    memory_config.seed = 23;
+    const auto encoder = std::make_shared<hdc::RecordEncoder>(
+        std::make_shared<const hdc::ItemMemory>(hdc::ItemMemory::generate(memory_config)),
+        /*tie_seed=*/31);
+    hdc::PipelineConfig config;
+    config.train.kind = hdc::ModelKind::binary;
+    const auto classifier = hdc::HdcClassifier::fit(data.train, encoder, config);
+
+    const api::InferenceSession session(encoder, classifier.discretizer(), classifier.model());
+    EXPECT_FALSE(session.fused_predict_active());
+    const auto predictions = session.predict(data.test.X);
+    ASSERT_EQ(predictions.size(), data.test.n_samples());
+    for (std::size_t s = 0; s < predictions.size(); ++s) {
+        EXPECT_EQ(predictions[s], classifier.predict_row(data.test.X.row(s))) << "row " << s;
     }
 }
 
@@ -741,12 +720,11 @@ TEST(InferenceSession, ConcurrentFusedPredictCallersStayBitIdentical) {
     // to prove the fused scratch (pointer tables, tie RNG) stays slot-private.
     const Pipeline pipeline = make_pipeline(hdc::ModelKind::binary);
     api::SessionOptions options;
-    options.fused_predict = api::FusedPredict::on;
     options.n_threads = 2;
     options.min_rows_per_thread = 1;
     const auto session = pipeline.owner.open_session(options);
     ASSERT_TRUE(session.fused_predict_active());
-    const auto reference = session.predict(pipeline.data.test.X);
+    const std::vector<int> reference = reference_labels(pipeline);
 
     std::vector<util::Thread> callers;
     std::array<std::atomic<bool>, 4> agree{};

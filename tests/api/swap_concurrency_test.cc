@@ -212,31 +212,22 @@ TEST(SubmitQueueShutdown, DestroyedSessionFailsQueuedFuturesNotHangs) {
     options.max_queue_delay = std::chrono::microseconds(2'000'000);
     options.adaptive_queue_delay = false;
 
-    std::vector<std::future<api::Response>> typed;
-    std::vector<std::future<std::vector<int>>> legacy;
+    std::vector<std::future<api::Response>> futures;
     {
         const api::InferenceSession session = owner.open_session(options);
-        for (int i = 0; i < 8; ++i) {
+        for (int i = 0; i < 16; ++i) {
             api::Request request;
             request.rows = benchmark.test.X;
-            typed.push_back(session.predict_async(std::move(request)));
-            legacy.push_back(session.predict_async(benchmark.test.X));
+            futures.push_back(session.predict_async(std::move(request)));
         }
         // Session dies here with (almost certainly) everything still queued.
     }
 
     std::size_t shutdown_errors = 0;
-    for (auto& future : typed) {
+    for (auto& future : futures) {
         try {
             const api::Response response = future.get();  // must not hang
             EXPECT_TRUE(response.ok());
-        } catch (const ShutdownError&) {
-            ++shutdown_errors;
-        }
-    }
-    for (auto& future : legacy) {
-        try {
-            (void)future.get();
         } catch (const ShutdownError&) {
             ++shutdown_errors;
         }
