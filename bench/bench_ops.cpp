@@ -6,14 +6,14 @@
 ///  - record encoding: bit-sliced column accumulation vs. the naive
 ///    per-element reference (the encoder hot-loop ablation), and the
 ///    batch-first pipeline: scratch-reusing encode_batch through the
-///    column_counts kernel, with and without the N x M BoundProductCache;
+///    column_counts kernel, which binds each feature/value pair on load;
 ///  - Eq. 9 feature materialization cost vs. the number of key layers;
 ///  - the feature attack's full-distance vs. restricted-index criterion
 ///    (the attack-cost ablation);
 ///  - the Sec. 4.2 single-parameter sweep, the unit of the (D*P)^L search;
 ///  - batched serving: api::InferenceSession at 1/2/4 threads vs. the old
 ///    per-row predict loop (real time, since the point is wall-clock
-///    throughput of the partitioned batch), cache off and on;
+///    throughput of the partitioned batch);
 ///  - the kernel-backend comparison: xor/popcount/hamming word kernels, the
 ///    full batch encode, and binary and non-binary predict, once per backend
 ///    available on this host (BM_Backend*/portable vs /avx2 vs /avx512),
@@ -125,8 +125,8 @@ void BM_EncodeBitsliced(benchmark::State& state) {
     const auto memory = std::make_shared<const hdc::ItemMemory>(hdc::ItemMemory::generate(config));
     const hdc::RecordEncoder encoder(memory, /*tie_seed=*/1);
 
-    // Random levels: the same workload as the batch benchmarks below, so
-    // per-row vs. batch vs. cached items/s compare directly.
+    // Random levels: the same workload as the batch benchmark below, so
+    // per-row vs. batch items/s compare directly.
     std::vector<int> levels(n_features);
     util::Xoshiro256ss rng(23);
     for (auto& level : levels) level = static_cast<int>(rng.next_below(16));
@@ -161,9 +161,8 @@ void BM_EncodeReference(benchmark::State& state) {
 BENCHMARK(BM_EncodeReference)->Arg(64)->Arg(256)->Arg(784);
 
 /// Batch-first encoding: scratch reused across rows, XOR fused into the
-/// column_counts kernel, zero per-row allocations.  Compare
-/// items/s against BM_EncodeBitsliced (the per-row API) for the pipeline
-/// win, and against BM_EncodeBatchCached for the product-cache win.
+/// column_counts kernel, zero per-row allocations.  Compare items/s against
+/// BM_EncodeBitsliced (the per-row API) for the pipeline win.
 void BM_EncodeBatch(benchmark::State& state) {
     const auto n_features = static_cast<std::size_t>(state.range(0));
     hdc::ItemMemoryConfig config;
@@ -189,36 +188,6 @@ void BM_EncodeBatch(benchmark::State& state) {
                             static_cast<std::int64_t>(n_features) * 4096);
 }
 BENCHMARK(BM_EncodeBatch)->Arg(64)->Arg(256)->Arg(784);
-
-/// The same batch through the N x M BoundProductCache: each row is pure
-/// counter adds (no XORs).  The ablation behind SessionOptions::
-/// use_product_cache.
-void BM_EncodeBatchCached(benchmark::State& state) {
-    const auto n_features = static_cast<std::size_t>(state.range(0));
-    hdc::ItemMemoryConfig config;
-    config.dim = 4096;
-    config.n_features = n_features;
-    config.n_levels = 16;
-    config.seed = 11;
-    const auto memory = std::make_shared<const hdc::ItemMemory>(hdc::ItemMemory::generate(config));
-    const hdc::RecordEncoder encoder(memory, /*tie_seed=*/1);
-    const auto cache = encoder.make_product_cache(std::size_t{1} << 30);
-
-    util::Matrix<int> levels(64, n_features);
-    util::Xoshiro256ss rng(23);
-    for (auto& level : levels.data()) level = static_cast<int>(rng.next_below(16));
-
-    hdc::EncoderScratch scratch;
-    std::vector<hdc::IntHV> out;
-    for (auto _ : state) {
-        encoder.encode_batch(levels, scratch, out, cache.get());
-        benchmark::DoNotOptimize(out);
-    }
-    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                            static_cast<std::int64_t>(levels.rows()) *
-                            static_cast<std::int64_t>(n_features) * 4096);
-}
-BENCHMARK(BM_EncodeBatchCached)->Arg(64)->Arg(256)->Arg(784);
 
 /// Eq. 9 product cost per feature as the key deepens (bench_fig9's software
 /// cross-check, isolated).
@@ -379,21 +348,6 @@ void BM_ServeBatchSession(benchmark::State& state) {
 BENCHMARK(BM_ServeBatchSession)->Arg(1)->Arg(2)->Arg(4)->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 
-/// Batched serving with the bound-product cache active (bit-identical
-/// output; the memory/throughput trade-off documented in the README).
-void BM_ServeBatchSessionCached(benchmark::State& state) {
-    const ServingFixture& fixture = serving_fixture();
-    const auto session = fixture.owner.open_session(
-        {.n_threads = static_cast<std::size_t>(state.range(0)), .use_product_cache = true});
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(session.predict(fixture.batch));
-    }
-    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                            static_cast<std::int64_t>(fixture.batch.rows()));
-}
-BENCHMARK(BM_ServeBatchSessionCached)->Arg(1)->Arg(2)->Arg(4)->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
-
 // ---------------------------------------------------------------------------
 // Serving core (persistent pool + async micro-batching + mmap startup): the
 // numbers behind bench/results/BENCH_*_serving_core.json.
@@ -412,9 +366,9 @@ BENCHMARK(BM_ServeBatchSessionCached)->Arg(1)->Arg(2)->Arg(4)->Unit(benchmark::k
 //    full-copy load_device() vs. zero-copy open_mapped().
 // ---------------------------------------------------------------------------
 
-/// Low-latency serving fixture (D=1024, N=32, binary, product cache on):
-/// the dispatch-bound regime where per-row encode is ~1-2 us and the cost
-/// of *getting a batch onto threads* is what the benchmark resolves.  The
+/// Low-latency serving fixture (D=1024, N=32, binary, fused predict): the
+/// dispatch-bound regime where per-row encode is ~1-2 us and the cost of
+/// *getting a batch onto threads* is what the benchmark resolves.  The
 /// compute-bound regime (D=2048, N=128, 2048-row batches) stays covered by
 /// BM_ServeBatchSession above.
 const ServingFixture& latency_fixture() {
@@ -461,10 +415,10 @@ util::Matrix<float> tile_rows(const util::Matrix<float>& source, std::size_t row
     return batch;
 }
 
-/// The server config BM_ServeBatchSession/4 uses, with the product cache on
-/// (bit-identical, and it makes the per-row encode cheap enough that
-/// dispatch cost is what these benchmarks resolve).
-constexpr api::SessionOptions kDispatchBoundOptions{.n_threads = 4, .use_product_cache = true};
+/// The server config BM_ServeBatchSession/4 uses; at this fixture's small
+/// shape the per-row encode is cheap enough that dispatch cost is what
+/// these benchmarks resolve.
+constexpr api::SessionOptions kDispatchBoundOptions{.n_threads = 4};
 
 void BM_ServeSmallBatch(benchmark::State& state) {
     const ServingFixture& fixture = latency_fixture();
@@ -563,7 +517,6 @@ void BM_RouterOpenLoop(benchmark::State& state, api::Placement placement) {
     options.placement = placement;
     options.session.n_threads = 2;
     options.session.min_rows_per_thread = 1;
-    options.session.use_product_cache = true;
     options.session.max_batch = 64;
     options.session.max_queue_rows = 256;
     const auto router = fixture.owner.open_router(options);
@@ -769,8 +722,8 @@ void BM_BackendPredictBinary(benchmark::State& state, kernels::Backend kind) {
 
 /// The binary serving inner loop end to end at D = 10000 and the paper's
 /// shapes — range(0) = N features, range(1) = classes — served the way a
-/// session serves by default: no BoundProductCache, and each call a new row
-/// from a cycle of 64 distinct rows.  `on` runs HdcModel::predict_fused
+/// session serves: feature/value pairs bound on load, and each call a new
+/// row from a cycle of 64 distinct rows.  `on` runs HdcModel::predict_fused
 /// (count planes stay in registers/L1, no query HV materialized); `off` runs
 /// encode_binary_into + predict, the two-step body a session keeps for
 /// binary models past kMaxFusedRows.

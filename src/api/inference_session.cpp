@@ -129,7 +129,7 @@ struct InferenceSession::WorkerState {
 /// pointer: the persistent pool with its slot-pinned scratch, the caller
 /// free-list, and the lazily-started async core.  Distinct from the RCU'd
 /// ServingState: the runtime (threads, scratch) survives epoch swaps; the
-/// serving state (encoder/model/caches) is what swaps.
+/// serving state (encoder/model) is what swaps.
 struct InferenceSession::Runtime {
     /// Free-list of WorkerStates for the inline paths (predict_row, small
     /// batches) where the caller thread does the work itself: concurrent
@@ -383,8 +383,6 @@ InferenceSession::InferenceSession(std::shared_ptr<const hdc::Encoder> encoder,
       max_queue_delay_(options.max_queue_delay),
       max_queue_rows_(std::max<std::size_t>(options.max_queue_rows, 1)),
       adaptive_queue_delay_(options.adaptive_queue_delay),
-      use_product_cache_(options.use_product_cache),
-      product_cache_max_bytes_(options.product_cache_max_bytes),
       runtime_(std::make_unique<Runtime>()) {
     n_threads_ = options.n_threads != 0 ? options.n_threads : util::hardware_concurrency();
     serving_.store(build_serving_state_(options.epoch, std::move(encoder),
@@ -406,8 +404,6 @@ InferenceSession::InferenceSession(InferenceSession&& other) noexcept
       max_queue_delay_(other.max_queue_delay_),
       max_queue_rows_(other.max_queue_rows_),
       adaptive_queue_delay_(other.adaptive_queue_delay_),
-      use_product_cache_(other.use_product_cache_),
-      product_cache_max_bytes_(other.product_cache_max_bytes_),
       serving_(other.serving_.load(std::memory_order_acquire)),
       runtime_(std::move(other.runtime_)),
       rows_served_(other.rows_served_.load()),
@@ -438,9 +434,6 @@ std::shared_ptr<const InferenceSession::ServingState> InferenceSession::build_se
     state->discretizer = std::move(discretizer);
     state->model = std::move(model);
     state->backing = std::move(backing);
-    if (use_product_cache_) {
-        state->product_cache = state->encoder->make_product_cache(product_cache_max_bytes_);
-    }
     state->fused_predict = state->model.kind() == hdc::ModelKind::binary &&
                            state->encoder->n_features() <= util::kernels::kMaxFusedRows;
     return state;
@@ -504,7 +497,6 @@ std::size_t planned_workers(std::size_t n_rows, std::size_t n_threads,
 int InferenceSession::predict_one_(const ServingState& state, std::span<const float> row,
                                    WorkerState& worker) const {
     const bool binary = state.model.kind() == hdc::ModelKind::binary;
-    const hdc::BoundProductCache* cache = state.product_cache.get();
     std::vector<int>& levels = worker.scratch.levels(state.encoder->n_features());
     state.discretizer.transform_row(row, levels);
     if (binary) {
@@ -513,13 +505,13 @@ int InferenceSession::predict_one_(const ServingState& state, std::span<const fl
             // while the count planes are register/L1-resident; the query
             // hypervector never exists.  Bit-identical labels to the
             // two-step path below on every backend.
-            return state.model.predict_fused(*state.encoder, levels, worker.scratch, cache);
+            return state.model.predict_fused(*state.encoder, levels, worker.scratch);
         }
         // Two-step: only past the fused kernel's row cap (kMaxFusedRows).
-        state.encoder->encode_binary_into(levels, worker.scratch, worker.query, cache);
+        state.encoder->encode_binary_into(levels, worker.scratch, worker.query);
         return state.model.predict(worker.query);
     }
-    state.encoder->encode_into(levels, worker.scratch, worker.sums, cache);
+    state.encoder->encode_into(levels, worker.scratch, worker.sums);
     return state.model.predict(worker.sums);
 }
 

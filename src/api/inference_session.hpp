@@ -10,7 +10,7 @@
 /// created on the hot path.
 ///
 /// Scratch is pinned per pool slot: each worker keeps its own
-/// hdc::EncoderScratch (levels buffer, bit-sliced counter, sums buffer) plus
+/// hdc::EncoderScratch (levels buffer, kernel row tables, sums buffer) plus
 /// reused output hypervectors across every batch the session ever serves,
 /// so the steady-state row does no heap allocation and no state is shared
 /// between rows.  Single-row and small-batch calls skip pool dispatch
@@ -23,9 +23,8 @@
 /// so many independent small callers amortise dispatch the way one big
 /// batch does.  Responses come back through std::future and their labels
 /// are bit-identical to predict() — per-row results are a pure function of
-/// the input regardless of thread count, coalescing, or whether the
-/// optional bound-product cache is active (see hdc::Encoder on tie
-/// breaking).
+/// the input regardless of thread count or coalescing (see hdc::Encoder on
+/// tie breaking).
 ///
 /// Each row takes one of three bodies, fixed per epoch by the model: binary
 /// models with at most util::kernels::kMaxFusedRows features are scored by
@@ -36,15 +35,15 @@
 /// on every backend at every paper shape measured (DESIGN.md §11).
 ///
 /// Epochs and hot swap (DESIGN.md §12): everything a served row reads —
-/// encoder, discretizer, model, bound-product cache, fused flag, the mmap
-/// anchor — lives in one immutable epoch-tagged ServingState behind an
-/// atomic shared_ptr.  Every predict call takes ONE snapshot at entry, so a
-/// batch is epoch-consistent even while swap_bundle() installs a rotated
-/// bundle concurrently: in-flight work finishes on the old state (whose
-/// aliasing anchors pin the old mmap), new work sees the new epoch, and the
-/// old state frees itself when its last reader drops the snapshot.  Per-slot
-/// scratch is rebuilt lazily on first touch of a new epoch.  A swap that
-/// fails validation throws RotationError and leaves the old epoch serving.
+/// encoder, discretizer, model, fused flag, the mmap anchor — lives in one
+/// immutable epoch-tagged ServingState behind an atomic shared_ptr.  Every
+/// predict call takes ONE snapshot at entry, so a batch is epoch-consistent
+/// even while swap_bundle() installs a rotated bundle concurrently: in-flight
+/// work finishes on the old state (whose aliasing anchors pin the old mmap),
+/// new work sees the new epoch, and the old state frees itself when its last
+/// reader drops the snapshot.  Per-slot scratch is rebuilt lazily on first
+/// touch of a new epoch.  A swap that fails validation throws RotationError
+/// and leaves the old epoch serving.
 ///
 /// Outside of the explicit swap_bundle() mutation the session is safe to
 /// share across caller threads; concurrent predict()/predict_async() calls
@@ -80,15 +79,6 @@ struct SessionOptions {
     /// single worker the batch stays on the calling thread — dispatching a
     /// handful of rows costs more than it saves.
     std::size_t min_rows_per_thread = 16;
-    /// Opt-in hdc::BoundProductCache: precompute all N x M bound products at
-    /// session construction so every served row is pure counter adds (no
-    /// XORs).  Trades N * M * D bits of memory for encode throughput;
-    /// silently skipped when the table would exceed the cap below (the
-    /// session falls back to the fused-XOR path).  Results are bit-identical
-    /// either way.
-    bool use_product_cache = false;
-    /// Byte cap on the product cache (default 256 MiB).
-    std::size_t product_cache_max_bytes = std::size_t{256} << 20;
     /// predict_async() micro-batching: the dispatcher fuses queued requests
     /// into batches of at most this many rows.
     std::size_t max_batch = 256;
@@ -219,10 +209,6 @@ public:
         std::shared_ptr<const hdc::Encoder> encoder;
         hdc::MinMaxDiscretizer discretizer;
         hdc::HdcModel model;
-        /// Rebuilt per epoch when SessionOptions::use_product_cache was
-        /// taken (built off the hot path, before install — the old epoch
-        /// serves while this epoch precomputes).
-        std::shared_ptr<const hdc::BoundProductCache> product_cache;
         bool fused_predict = false;
         /// Pins the mmap behind a zero-copy bundle epoch; null when owned.
         std::shared_ptr<const void> backing;
@@ -271,19 +257,18 @@ public:
 
     /// Single-row inference: same output as predict() on a 1-row batch, but
     /// skips dispatch entirely — it runs on the calling thread against a
-    /// leased scratch and consults the bound-product cache when active.
+    /// leased scratch.
     int predict_row(std::span<const float> row) const;
 
     /// RCU hot swap: validates the rotated bundle's serving state (trained
     /// model, matching shapes, same feature count as the current epoch),
     /// builds the new immutable ServingState — fused path re-decided for
-    /// the new model, product cache precomputed here while the old epoch
-    /// still serves — and installs it with one atomic
-    /// exchange.  In-flight requests finish on the old epoch's snapshot;
-    /// requests submitted after the swap serve the new epoch; per-slot
-    /// scratch rebuilds lazily on first touch of the new epoch.  Throws
-    /// RotationError on any validation failure, leaving the old epoch
-    /// serving untouched.  Returns the installed epoch.
+    /// the new model while the old epoch still serves — and installs it
+    /// with one atomic exchange.  In-flight requests finish on the old
+    /// epoch's snapshot; requests submitted after the swap serve the new
+    /// epoch; per-slot scratch rebuilds lazily on first touch of the new
+    /// epoch.  Throws RotationError on any validation failure, leaving the
+    /// old epoch serving untouched.  Returns the installed epoch.
     std::uint64_t swap_bundle(BundleSnapshot snapshot) const;
 
     /// The current epoch's immutable serving state (one atomic load).  The
@@ -302,11 +287,6 @@ public:
 
     std::size_t n_features() const noexcept { return serving_state()->encoder->n_features(); }
     std::size_t n_threads() const noexcept { return n_threads_; }
-    /// True when the current epoch holds a materialized bound-product cache
-    /// (the opt-in was taken and the table fit under the byte cap).
-    bool product_cache_active() const noexcept {
-        return serving_state()->product_cache != nullptr;
-    }
     /// True when rows are served through the fused encode→distance kernel
     /// path: the current epoch's model is binary and n_features() is at
     /// most util::kernels::kMaxFusedRows.
@@ -342,10 +322,9 @@ private:
     struct WorkerState;
     struct Runtime;
 
-    /// Validates and assembles one epoch of serving state under this
-    /// session's options (fused path decided, product cache precomputed).
-    /// Throws ContractViolation naming the violation; swap_bundle wraps that
-    /// in RotationError, the constructor lets it surface as-is.
+    /// Validates and assembles one epoch of serving state (fused path
+    /// decided).  Throws ContractViolation naming the violation; swap_bundle
+    /// wraps that in RotationError, the constructor lets it surface as-is.
     std::shared_ptr<const ServingState> build_serving_state_(
         std::uint64_t epoch, std::shared_ptr<const hdc::Encoder> encoder,
         hdc::MinMaxDiscretizer discretizer, hdc::HdcModel model,
@@ -376,9 +355,6 @@ private:
     std::chrono::microseconds max_queue_delay_{200};
     std::size_t max_queue_rows_ = 8192;
     bool adaptive_queue_delay_ = false;
-    /// Options a swap must re-apply when building the next epoch's state.
-    bool use_product_cache_ = false;
-    std::size_t product_cache_max_bytes_ = std::size_t{256} << 20;
     /// The RCU cell: the current epoch's immutable serving state.  Readers
     /// snapshot once per predict call; swap_bundle exchanges the pointer.
     mutable std::atomic<std::shared_ptr<const ServingState>> serving_;

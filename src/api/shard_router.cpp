@@ -110,8 +110,8 @@ std::uint64_t ShardRouter::swap_all(const BundleSnapshot& snapshot) const {
     for (const auto& shard : shards_) previous.push_back(shard->serving_state());
     for (std::size_t s = 0; s < shards_.size(); ++s) {
         try {
-            // Per-shard copy: each shard validates independently and owns
-            // its own product cache, exactly as at construction.
+            // Per-shard copy: each shard validates independently and builds
+            // its own serving state, exactly as at construction.
             shards_[s]->swap_bundle(snapshot);
         } catch (const Error& error) {
             for (std::size_t r = 0; r < s; ++r) {

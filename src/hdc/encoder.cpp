@@ -31,41 +31,6 @@ util::bits::Word resolve_fused_ties(void* ctx, util::bits::Word eq_mask,
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// BoundProductCache
-// ---------------------------------------------------------------------------
-
-std::size_t BoundProductCache::bytes_required(std::size_t n_features, std::size_t n_levels,
-                                              std::size_t dim) {
-    return n_features * n_levels * bits::word_count(dim) * sizeof(bits::Word);
-}
-
-BoundProductCache::BoundProductCache(std::span<const BinaryHV> feature_hvs,
-                                     std::span<const BinaryHV> value_hvs) {
-    HDLOCK_EXPECTS(!feature_hvs.empty(), "BoundProductCache: no feature hypervectors");
-    HDLOCK_EXPECTS(!value_hvs.empty(), "BoundProductCache: no value hypervectors");
-    n_features_ = feature_hvs.size();
-    n_levels_ = value_hvs.size();
-    dim_ = feature_hvs.front().dim();
-    words_per_product_ = bits::word_count(dim_);
-    for (const auto& hv : feature_hvs) {
-        HDLOCK_EXPECTS(hv.dim() == dim_, "BoundProductCache: feature HV dimension mismatch");
-    }
-    for (const auto& hv : value_hvs) {
-        HDLOCK_EXPECTS(hv.dim() == dim_, "BoundProductCache: value HV dimension mismatch");
-    }
-
-    words_.resize(n_features_ * n_levels_ * words_per_product_);
-    std::span<bits::Word> all(words_);
-    for (std::size_t i = 0; i < n_features_; ++i) {
-        for (std::size_t m = 0; m < n_levels_; ++m) {
-            bits::xor_into(all.subspan((i * n_levels_ + m) * words_per_product_,
-                                       words_per_product_),
-                           feature_hvs[i].words(), value_hvs[m].words());
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Encoder
 // ---------------------------------------------------------------------------
 
@@ -77,20 +42,9 @@ void Encoder::check_levels(std::span<const int> levels) const {
     }
 }
 
-const bits::Word* const* Encoder::bind_rows(std::span<const int> levels, EncoderScratch& scratch,
-                                            const BoundProductCache* cache) const {
+void Encoder::bind_rows(std::span<const int> levels, EncoderScratch& scratch) const {
     const std::size_t n = levels.size();
     scratch.rows_a_.resize(n);
-    // Cached shape: one pointer per precomputed product, rows_b == nullptr.
-    // Uncached shape: feature/value pointer pairs the kernels XOR on load.
-    if (cache != nullptr) {
-        HDLOCK_EXPECTS(cache->matches(n_features(), n_levels(), dim()),
-                       "Encoder: product cache built for a different encoder shape");
-        for (std::size_t i = 0; i < n; ++i) {
-            scratch.rows_a_[i] = cache->product(i, static_cast<std::size_t>(levels[i])).data();
-        }
-        return nullptr;
-    }
     scratch.rows_b_.resize(n);
     const std::span<const BinaryHV> feature_hvs = feature_hv_array();
     const std::span<const BinaryHV> value_hvs = value_hv_array();
@@ -98,7 +52,6 @@ const bits::Word* const* Encoder::bind_rows(std::span<const int> levels, Encoder
         scratch.rows_a_[i] = feature_hvs[i].words().data();
         scratch.rows_b_[i] = value_hvs[static_cast<std::size_t>(levels[i])].words().data();
     }
-    return scratch.rows_b_.data();
 }
 
 util::Xoshiro256ss Encoder::tie_rng(std::span<const int> levels) const {
@@ -119,17 +72,17 @@ BinaryHV Encoder::encode_binary(std::span<const int> levels) const {
     return out;
 }
 
-void Encoder::encode_into(std::span<const int> levels, EncoderScratch& scratch, IntHV& out,
-                          const BoundProductCache* cache) const {
+void Encoder::encode_into(std::span<const int> levels, EncoderScratch& scratch,
+                          IntHV& out) const {
     check_levels(levels);
-    const bits::Word* const* rows_b = bind_rows(levels, scratch, cache);
+    bind_rows(levels, scratch);
     const std::size_t n = levels.size();
     out.resize(dim());
     const std::span<std::int32_t> sums = out.values();
     std::fill(sums.begin(), sums.end(), 0);
     const util::kernels::KernelBackend& kernel = util::kernels::active();
     for (std::size_t r = 0; r < n; r += util::kernels::kMaxFusedRows) {
-        kernel.column_counts(scratch.rows_a_.data() + r, rows_b == nullptr ? nullptr : rows_b + r,
+        kernel.column_counts(scratch.rows_a_.data() + r, scratch.rows_b_.data() + r,
                              std::min(util::kernels::kMaxFusedRows, n - r), sums.size(),
                              sums.data());
     }
@@ -139,8 +92,8 @@ void Encoder::encode_into(std::span<const int> levels, EncoderScratch& scratch, 
 }
 
 void Encoder::encode_binary_into(std::span<const int> levels, EncoderScratch& scratch,
-                                 BinaryHV& out, const BoundProductCache* cache) const {
-    encode_into(levels, scratch, scratch.sums_, cache);
+                                 BinaryHV& out) const {
+    encode_into(levels, scratch, scratch.sums_);
     binarize_into(levels, scratch.sums_, out);
 }
 
@@ -152,8 +105,7 @@ void Encoder::binarize_into(std::span<const int> levels, const IntHV& sums, Bina
 
 void Encoder::fused_hamming_into(std::span<const int> levels, EncoderScratch& scratch,
                                  std::span<const BinaryHV> class_hvs,
-                                 std::span<std::uint64_t> distances,
-                                 const BoundProductCache* cache) const {
+                                 std::span<std::uint64_t> distances) const {
     check_levels(levels);
     HDLOCK_EXPECTS(class_hvs.size() == distances.size(),
                    "Encoder::fused_hamming_into: class/distance count mismatch");
@@ -164,43 +116,35 @@ void Encoder::fused_hamming_into(std::span<const int> levels, EncoderScratch& sc
         HDLOCK_EXPECTS(hv.dim() == d, "Encoder::fused_hamming_into: class HV dimension mismatch");
     }
 
-    const bits::Word* const* rows_b = bind_rows(levels, scratch, cache);
+    bind_rows(levels, scratch);
     scratch.class_rows_.resize(class_hvs.size());
     for (std::size_t c = 0; c < class_hvs.size(); ++c) {
         scratch.class_rows_[c] = class_hvs[c].words().data();
     }
     util::Xoshiro256ss rng = tie_rng(levels);
     util::kernels::active().fused_hamming_scores(
-        scratch.rows_a_.data(), rows_b, levels.size(), scratch.class_rows_.data(),
+        scratch.rows_a_.data(), scratch.rows_b_.data(), levels.size(), scratch.class_rows_.data(),
         class_hvs.size(), bits::word_count(d), &resolve_fused_ties, &rng, distances.data());
 }
 
 void Encoder::encode_batch(const util::Matrix<int>& levels_matrix, EncoderScratch& scratch,
-                           std::vector<IntHV>& out, const BoundProductCache* cache) const {
+                           std::vector<IntHV>& out) const {
     HDLOCK_EXPECTS(levels_matrix.rows() == 0 || levels_matrix.cols() == n_features(),
                    "Encoder::encode_batch: level matrix has wrong feature count");
     out.resize(levels_matrix.rows());
     for (std::size_t r = 0; r < levels_matrix.rows(); ++r) {
-        encode_into(levels_matrix.row(r), scratch, out[r], cache);
+        encode_into(levels_matrix.row(r), scratch, out[r]);
     }
 }
 
 void Encoder::encode_binary_batch(const util::Matrix<int>& levels_matrix, EncoderScratch& scratch,
-                                  std::vector<BinaryHV>& out,
-                                  const BoundProductCache* cache) const {
+                                  std::vector<BinaryHV>& out) const {
     HDLOCK_EXPECTS(levels_matrix.rows() == 0 || levels_matrix.cols() == n_features(),
                    "Encoder::encode_binary_batch: level matrix has wrong feature count");
     out.resize(levels_matrix.rows());
     for (std::size_t r = 0; r < levels_matrix.rows(); ++r) {
-        encode_binary_into(levels_matrix.row(r), scratch, out[r], cache);
+        encode_binary_into(levels_matrix.row(r), scratch, out[r]);
     }
-}
-
-std::shared_ptr<const BoundProductCache> Encoder::make_product_cache(std::size_t max_bytes) const {
-    if (BoundProductCache::bytes_required(n_features(), n_levels(), dim()) > max_bytes) {
-        return nullptr;
-    }
-    return std::make_shared<const BoundProductCache>(feature_hv_array(), value_hv_array());
 }
 
 // ---------------------------------------------------------------------------

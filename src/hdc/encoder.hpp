@@ -13,12 +13,12 @@
 /// the subclasses' materialized hypervector arrays (feature_hv_array /
 /// value_hv_array): every row hands the N (FeaHV_i, ValHV_{levels[i]})
 /// pointer pairs to the Harley–Seal column_counts kernel
-/// (util/kernels.hpp), which XORs them on load, so no per-row product
-/// vector is ever materialized.  The batch entry points (encode_batch /
-/// encode_binary_batch) additionally reuse an EncoderScratch across rows, so
-/// a served batch performs no per-row heap allocation at all, and can run
-/// against a BoundProductCache that precomputes all N x M bound products —
-/// turning each row into pure column counts.
+/// (util/kernels.hpp), which XORs them on load, so no bound product is ever
+/// materialized — per row or in a precomputed table (DESIGN.md §4 records
+/// why there is no N x M product table).  The batch entry points
+/// (encode_batch / encode_binary_batch) additionally reuse an EncoderScratch
+/// across rows, so a served batch performs no per-row heap allocation at
+/// all.
 ///
 /// Binarization ties: Eq. 3 assigns sign(0) randomly.  To keep an encoder a
 /// *function* (the same input always yields the same output, as a hardware
@@ -26,7 +26,7 @@
 /// seed mixed with a hash of the input.  Two encoders with different tie
 /// seeds agree on every non-tied element and disagree on about half of the
 /// ties — exactly the residual Hamming floor visible in the paper's Fig. 3.
-/// Every path below (per-row, batch, cached) derives the identical per-input
+/// Every path below (per-row, batch, fused) derives the identical per-input
 /// seed, so all of them are bit-identical to each other.
 
 #include <memory>
@@ -38,46 +38,6 @@
 #include "util/matrix.hpp"
 
 namespace hdlock::hdc {
-
-/// Opt-in precomputation of all N x M bound products FeaHV_i ^ ValHV_m
-/// (the tiny product set behind Eq. 2/10).  With the cache in place a row
-/// encode performs no XORs at all — one product row per feature.
-/// The trade-off is memory: N * M * D bits (bytes_required()), which is why
-/// construction goes through Encoder::make_product_cache with an explicit
-/// byte cap.
-class BoundProductCache {
-public:
-    /// Table footprint in bytes for a given encoder shape.
-    static std::size_t bytes_required(std::size_t n_features, std::size_t n_levels,
-                                      std::size_t dim);
-
-    /// Materializes the full table. Spans must be non-empty and uniform in
-    /// dimension; prefer Encoder::make_product_cache, which also enforces a
-    /// memory cap.
-    BoundProductCache(std::span<const BinaryHV> feature_hvs, std::span<const BinaryHV> value_hvs);
-
-    std::size_t n_features() const noexcept { return n_features_; }
-    std::size_t n_levels() const noexcept { return n_levels_; }
-    std::size_t dim() const noexcept { return dim_; }
-    std::size_t bytes() const noexcept { return words_.size() * sizeof(util::bits::Word); }
-
-    bool matches(std::size_t n_features, std::size_t n_levels, std::size_t dim) const noexcept {
-        return n_features == n_features_ && n_levels == n_levels_ && dim == dim_;
-    }
-
-    /// The packed product FeaHV_{feature} ^ ValHV_{level}.
-    std::span<const util::bits::Word> product(std::size_t feature, std::size_t level) const {
-        return std::span<const util::bits::Word>(words_)
-            .subspan((feature * n_levels_ + level) * words_per_product_, words_per_product_);
-    }
-
-private:
-    std::size_t n_features_ = 0;
-    std::size_t n_levels_ = 0;
-    std::size_t dim_ = 0;
-    std::size_t words_per_product_ = 0;
-    std::vector<util::bits::Word> words_;  // (feature, level)-major product rows
-};
 
 /// Reusable per-worker state for the allocation-free encode paths: the
 /// row-pointer tables handed to the kernels, the non-binary sums buffer
@@ -107,9 +67,9 @@ private:
     IntHV sums_;            // non-binary encoding en route to sign()
     std::vector<int> levels_;
     // Row-pointer tables for the column_counts / fused kernel calls: one
-    // product (or feature/value pair) pointer per feature.
-    std::vector<const util::bits::Word*> rows_a_;      // products, or feature HVs
-    std::vector<const util::bits::Word*> rows_b_;      // value HVs (uncached path)
+    // feature/value pair per feature, bound by the kernel on load.
+    std::vector<const util::bits::Word*> rows_a_;      // feature HVs
+    std::vector<const util::bits::Word*> rows_b_;      // value HVs at the row's levels
     std::vector<const util::bits::Word*> class_rows_;  // class HV word arrays
     std::vector<std::uint64_t> distances_;
 };
@@ -135,15 +95,13 @@ public:
     BinaryHV encode_binary(std::span<const int> levels) const;
 
     /// Allocation-free single-row encode: writes H_nb into `out` (re-shaped
-    /// to dim()), reusing the scratch's row tables.  With a cache (built by
-    /// make_product_cache) the row is pure column counts.  Bit-identical to
+    /// to dim()), reusing the scratch's row tables.  Bit-identical to
     /// encode() on every input.
-    void encode_into(std::span<const int> levels, EncoderScratch& scratch, IntHV& out,
-                     const BoundProductCache* cache = nullptr) const;
+    void encode_into(std::span<const int> levels, EncoderScratch& scratch, IntHV& out) const;
 
     /// Allocation-free binary encode; bit-identical to encode_binary().
-    void encode_binary_into(std::span<const int> levels, EncoderScratch& scratch, BinaryHV& out,
-                            const BoundProductCache* cache = nullptr) const;
+    void encode_binary_into(std::span<const int> levels, EncoderScratch& scratch,
+                            BinaryHV& out) const;
 
     /// Binarizes an already-computed H_nb of `levels` (the output of
     /// encode_into for the same levels) with this encoder's per-input tie
@@ -164,24 +122,17 @@ public:
     /// class_hvs.size() == distances.size().
     void fused_hamming_into(std::span<const int> levels, EncoderScratch& scratch,
                             std::span<const BinaryHV> class_hvs,
-                            std::span<std::uint64_t> distances,
-                            const BoundProductCache* cache = nullptr) const;
+                            std::span<std::uint64_t> distances) const;
 
     /// Batch encode: one IntHV per row of `levels_matrix` (rows x
     /// n_features()), scratch reused across rows.  `out` is resized.
     void encode_batch(const util::Matrix<int>& levels_matrix, EncoderScratch& scratch,
-                      std::vector<IntHV>& out, const BoundProductCache* cache = nullptr) const;
+                      std::vector<IntHV>& out) const;
 
     /// Batch binary encode with the same per-row tie-breaking as
     /// encode_binary (row hashed independently).
     void encode_binary_batch(const util::Matrix<int>& levels_matrix, EncoderScratch& scratch,
-                             std::vector<BinaryHV>& out,
-                             const BoundProductCache* cache = nullptr) const;
-
-    /// Builds the N x M bound-product table when it fits in `max_bytes`;
-    /// returns nullptr when it would not (callers fall back to the fused
-    /// XOR path).
-    std::shared_ptr<const BoundProductCache> make_product_cache(std::size_t max_bytes) const;
+                             std::vector<BinaryHV>& out) const;
 
     std::uint64_t tie_seed() const noexcept { return tie_seed_; }
 
@@ -196,12 +147,9 @@ protected:
     virtual std::span<const BinaryHV> value_hv_array() const = 0;
 
 private:
-    /// Fills the scratch's row tables for `levels` (validated): products
-    /// from `cache` when given, else feature/value pairs.  Returns the
-    /// rows_b table to pass the kernels, nullptr in the cached form.
-    const util::bits::Word* const* bind_rows(std::span<const int> levels,
-                                             EncoderScratch& scratch,
-                                             const BoundProductCache* cache) const;
+    /// Fills the scratch's row tables for `levels` (validated) with the
+    /// feature/value pairs the kernels bind on load.
+    void bind_rows(std::span<const int> levels, EncoderScratch& scratch) const;
 
     /// The sign(0) tie stream for `levels` (see file comment).
     util::Xoshiro256ss tie_rng(std::span<const int> levels) const;

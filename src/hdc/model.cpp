@@ -141,13 +141,13 @@ int HdcModel::predict(const BinaryHV& query) const {
 }
 
 int HdcModel::predict_fused(const Encoder& encoder, std::span<const int> levels,
-                            EncoderScratch& scratch, const BoundProductCache* cache) const {
+                            EncoderScratch& scratch) const {
     HDLOCK_EXPECTS(kind_ == ModelKind::binary, "HdcModel::predict_fused: non-binary model");
     HDLOCK_EXPECTS(!class_binary_.empty(), "HdcModel::predict_fused: untrained model");
     HDLOCK_EXPECTS(encoder.dim() == dim(),
                    "HdcModel::predict_fused: encoder/model dimension mismatch");
     std::vector<std::uint64_t>& distances = scratch.distances(class_binary_.size());
-    encoder.fused_hamming_into(levels, scratch, class_binary_, distances, cache);
+    encoder.fused_hamming_into(levels, scratch, class_binary_, distances);
     // Same argmin as predict(BinaryHV): strict <, first class wins ties.
     int best = 0;
     auto best_distance = static_cast<std::uint64_t>(dim()) + 1;

@@ -19,7 +19,6 @@
 
 namespace hdlock::hdc {
 
-class BoundProductCache;
 class Encoder;
 class EncoderScratch;
 
@@ -85,7 +84,7 @@ public:
     /// predict(encoder.encode_binary(levels)) on every kernel backend (same
     /// distances, same strict-< first-wins tie order).  Binary models only.
     int predict_fused(const Encoder& encoder, std::span<const int> levels,
-                      EncoderScratch& scratch, const BoundProductCache* cache = nullptr) const;
+                      EncoderScratch& scratch) const;
 
     /// Batch inference over already-encoded queries (one label per query,
     /// in order).  The serving path: pairs with Encoder::encode_batch /

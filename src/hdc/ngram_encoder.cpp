@@ -24,41 +24,49 @@ const BinaryHV& NGramEncoder::symbol_hv(std::size_t symbol) const {
     return symbols_[symbol];
 }
 
-BinaryHV NGramEncoder::gram_hv(std::span<const int> gram) const {
-    HDLOCK_EXPECTS(gram.size() == gram_size_, "NGramEncoder: gram has wrong length");
-    BinaryHV bound;
-    for (std::size_t g = 0; g < gram.size(); ++g) {
-        const int symbol = gram[g];
-        HDLOCK_EXPECTS(symbol >= 0 && static_cast<std::size_t>(symbol) < symbols_.size(),
-                       "NGramEncoder: symbol out of range");
-        // Position g (0 = oldest) is rotated by gram_size - 1 - g, so the
-        // most recent symbol enters unrotated.
-        const BinaryHV rotated =
-            symbols_[static_cast<std::size_t>(symbol)].rotated(gram_size_ - 1 - g);
-        bound = g == 0 ? rotated : bound * rotated;
+BinaryHV NGramEncoder::bind_positions(std::span<const int> positions) const {
+    // Position g (0 = oldest) is rotated by gram_size - 1 - g, so the most
+    // recent symbol of a whole gram enters unrotated.  symbol_hv range-checks
+    // each symbol (a negative one wraps past the alphabet) before its row is
+    // read.
+    BinaryHV bound = symbol_hv(static_cast<std::size_t>(positions[0])).rotated(gram_size_ - 1);
+    for (std::size_t g = 1; g < positions.size(); ++g) {
+        bound *= symbol_hv(static_cast<std::size_t>(positions[g])).rotated(gram_size_ - 1 - g);
     }
     return bound;
+}
+
+BinaryHV NGramEncoder::gram_hv(std::span<const int> gram) const {
+    HDLOCK_EXPECTS(gram.size() == gram_size_, "NGramEncoder: gram has wrong length");
+    return bind_positions(gram);
 }
 
 IntHV NGramEncoder::encode(std::span<const int> sequence) const {
     HDLOCK_EXPECTS(sequence.size() >= gram_size_,
                    "NGramEncoder: sequence shorter than one gram");
     // Grams are counted in batches of kBatch through column_counts, so the
-    // memory held stays bounded however long the sequence is.
+    // memory held stays bounded however long the sequence is.  Each gram is
+    // one row pair the kernel binds on load: the binding of its older,
+    // rotated positions, and its newest symbol, which enters unrotated.  A
+    // 1-gram has no older positions; its binding stays the all-zero
+    // hypervector, the identity of XOR binding.
     constexpr std::size_t kBatch = 64;
     const std::size_t n_grams = sequence.size() - gram_size_ + 1;
-    std::vector<BinaryHV> grams(std::min(kBatch, n_grams));
-    std::vector<const util::bits::Word*> rows(grams.size());
+    std::vector<BinaryHV> older(std::min(kBatch, n_grams), BinaryHV(dim_));
+    std::vector<const util::bits::Word*> rows_a(older.size());
+    std::vector<const util::bits::Word*> rows_b(older.size());
     IntHV sums(dim_);
     const std::span<std::int32_t> counts = sums.values();
     const util::kernels::KernelBackend& kernel = util::kernels::active();
     for (std::size_t first = 0; first < n_grams; first += kBatch) {
         const std::size_t batch = std::min(kBatch, n_grams - first);
         for (std::size_t i = 0; i < batch; ++i) {
-            grams[i] = gram_hv(sequence.subspan(first + i, gram_size_));
-            rows[i] = grams[i].words().data();
+            const std::span<const int> gram = sequence.subspan(first + i, gram_size_);
+            if (gram_size_ > 1) older[i] = bind_positions(gram.first(gram_size_ - 1));
+            rows_a[i] = older[i].words().data();
+            rows_b[i] = symbol_hv(static_cast<std::size_t>(gram.back())).words().data();
         }
-        kernel.column_counts(rows.data(), nullptr, batch, dim_, counts.data());
+        kernel.column_counts(rows_a.data(), rows_b.data(), batch, dim_, counts.data());
     }
     // Bit 1 encodes -1, so a column with `count` set bits sums to n - 2*count.
     const auto total = static_cast<std::int32_t>(n_grams);

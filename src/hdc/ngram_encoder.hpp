@@ -58,6 +58,11 @@ public:
     BinaryHV gram_hv(std::span<const int> gram) const;
 
 private:
+    /// The binding of a gram's leading positions (at least one): position g
+    /// rotated by gram_size() - 1 - g, whatever the count.  Each symbol is
+    /// range-checked.
+    BinaryHV bind_positions(std::span<const int> positions) const;
+
     std::vector<BinaryHV> symbols_;
     std::size_t dim_ = 0;
     std::size_t gram_size_ = 0;

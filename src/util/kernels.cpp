@@ -82,8 +82,8 @@ inline void ripple(Word* planes, std::size_t n_planes, std::size_t start, Word c
 
 /// The scalar Harley–Seal block shared by column_counts_words and
 /// fused_hamming_words: leaves in planes[0, n_planes) the bit-sliced count
-/// of word `w` over the n_rows rows.  The SIMD backends run the same tree
-/// on 2/4/8-word blocks.
+/// of word `w` over the n_rows bound rows rows_a[r] ^ rows_b[r].  The SIMD
+/// backends run the same tree on 2/4/8-word blocks.
 void count_planes(const Word* const* rows_a, const Word* const* rows_b, std::size_t n_rows,
                   std::size_t n_planes, std::size_t w, Word* planes) noexcept {
     for (std::size_t p = 0; p < n_planes; ++p) planes[p] = 0;
@@ -94,7 +94,7 @@ void count_planes(const Word* const* rows_a, const Word* const* rows_b, std::siz
     for (; r + 8 <= n_rows; r += 8) {
         Word x[8];
         for (std::size_t k = 0; k < 8; ++k) {
-            x[k] = rows_b == nullptr ? rows_a[r + k][w] : rows_a[r + k][w] ^ rows_b[r + k][w];
+            x[k] = rows_a[r + k][w] ^ rows_b[r + k][w];
         }
         // CSA(carry, sum, a, b): u = sum^a; carry = (sum&a)|(u&b); sum = u^b
         // folds rows pairwise through ones, pairs through twos, quads
@@ -124,7 +124,7 @@ void count_planes(const Word* const* rows_a, const Word* const* rows_b, std::siz
         ripple(planes, n_planes, 3, carry);
     }
     for (; r < n_rows; ++r) {
-        const Word x = rows_b == nullptr ? rows_a[r][w] : rows_a[r][w] ^ rows_b[r][w];
+        const Word x = rows_a[r][w] ^ rows_b[r][w];
         const Word c1 = ones & x;
         ones ^= x;
         const Word c2 = twos & c1;

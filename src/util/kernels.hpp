@@ -93,24 +93,24 @@ struct KernelBackend {
 
     /// The bundling column count: for every column j < n_bits,
     ///   counts[j] += #{ r < n_rows : bit j of (rows_a[r] ^ rows_b[r]) }
-    /// (rows_a[r] alone when rows_b == nullptr — the BoundProductCache
-    /// form).  Per word block the Harley–Seal count planes stay in
-    /// registers/L1, exactly as in fused_hamming_scores, and are unpacked
-    /// in registers into the int32 counts; the bound products are never
-    /// written to memory.  Adds onto `counts`, so a caller with more than
-    /// kMaxFusedRows rows accumulates several calls.  Writes only columns
-    /// [0, n_bits); rows hold word_count(n_bits) words.
+    /// rows_a and rows_b are tables of n_rows rows each; every pair is
+    /// bound (XORed) on load.  Per word block the Harley–Seal count planes
+    /// stay in registers/L1, exactly as in fused_hamming_scores, and are
+    /// unpacked in registers into the int32 counts; the bound products are
+    /// never written to memory.  Adds onto `counts`, so a caller with more
+    /// than kMaxFusedRows rows accumulates several calls.  Writes only
+    /// columns [0, n_bits); rows hold word_count(n_bits) words.
     /// Requirement: n_rows <= kMaxFusedRows.
     void (*column_counts)(const Word* const* rows_a, const Word* const* rows_b,
                           std::size_t n_rows, std::size_t n_bits,
                           std::int32_t* counts) noexcept;
 
-    /// The fused encode→distance kernel: accumulates n_rows bit rows
-    /// (rows_a[r], XORed with rows_b[r] when rows_b != nullptr — the bind
-    /// step of the uncached encode path), binarizes the per-column counts
-    /// against n_rows / 2, and scores the never-materialized query against
-    /// n_classes class hypervectors:
-    ///   distances[c] = Hamming(sign(sum of rows), class_rows[c])
+    /// The fused encode→distance kernel: accumulates the n_rows bound rows
+    /// rows_a[r] ^ rows_b[r] (two tables of n_rows rows, XORed on load as in
+    /// column_counts), binarizes the per-column counts against n_rows / 2,
+    /// and scores the never-materialized query against n_classes class
+    /// hypervectors:
+    ///   distances[c] = Hamming(sign(sum of bound rows), class_rows[c])
     /// Per word block the Harley–Seal count planes live in registers/L1; the
     /// query bits come from a bit-sliced lexicographic compare of the planes
     /// against the threshold, ties (count == n_rows/2, even n_rows only) go

@@ -73,12 +73,11 @@ __m512i csa_carry(__m512i a, __m512i b, __m512i c) noexcept {
     return _mm512_ternarylogic_epi64(a, b, c, 0xE8);
 }
 
-template <bool Fused>
+/// Row r's words at `w`, bound on load: rows_a[r] ^ rows_b[r].
 __m512i load_row(const Word* const* rows_a, const Word* const* rows_b, std::size_t r,
                  std::size_t w) noexcept {
-    const __m512i a = _mm512_loadu_si512(rows_a[r] + w);
-    if constexpr (!Fused) return a;
-    return _mm512_xor_si512(a, _mm512_loadu_si512(rows_b[r] + w));
+    return _mm512_xor_si512(_mm512_loadu_si512(rows_a[r] + w),
+                            _mm512_loadu_si512(rows_b[r] + w));
 }
 
 /// The Harley–Seal block shared by column_counts and fused_hamming_scores:
@@ -89,7 +88,6 @@ __m512i load_row(const Word* const* rows_a, const Word* const* rows_b, std::size
 /// sees the bound, peels the plane loops completely and keeps the planes
 /// in registers.  Through a pointer they stay in memory, which measured
 /// ~10% slower on the fused MNIST-shape predict.
-template <bool Fused>
 [[gnu::always_inline]] inline void count_planes(const Word* const* rows_a,
                                                 const Word* const* rows_b, std::size_t n_rows,
                                                 std::size_t n_planes, std::size_t w,
@@ -100,22 +98,22 @@ template <bool Fused>
     __m512i fours = _mm512_setzero_si512();
     std::size_t r = 0;
     for (; r + 8 <= n_rows; r += 8) {
-        const __m512i x0 = load_row<Fused>(rows_a, rows_b, r + 0, w);
-        const __m512i x1 = load_row<Fused>(rows_a, rows_b, r + 1, w);
+        const __m512i x0 = load_row(rows_a, rows_b, r + 0, w);
+        const __m512i x1 = load_row(rows_a, rows_b, r + 1, w);
         const __m512i twos_a = csa_carry(ones, x0, x1);
         ones = csa_sum(ones, x0, x1);
-        const __m512i x2 = load_row<Fused>(rows_a, rows_b, r + 2, w);
-        const __m512i x3 = load_row<Fused>(rows_a, rows_b, r + 3, w);
+        const __m512i x2 = load_row(rows_a, rows_b, r + 2, w);
+        const __m512i x3 = load_row(rows_a, rows_b, r + 3, w);
         const __m512i twos_b = csa_carry(ones, x2, x3);
         ones = csa_sum(ones, x2, x3);
         const __m512i fours_a = csa_carry(twos, twos_a, twos_b);
         twos = csa_sum(twos, twos_a, twos_b);
-        const __m512i x4 = load_row<Fused>(rows_a, rows_b, r + 4, w);
-        const __m512i x5 = load_row<Fused>(rows_a, rows_b, r + 5, w);
+        const __m512i x4 = load_row(rows_a, rows_b, r + 4, w);
+        const __m512i x5 = load_row(rows_a, rows_b, r + 5, w);
         const __m512i twos_c = csa_carry(ones, x4, x5);
         ones = csa_sum(ones, x4, x5);
-        const __m512i x6 = load_row<Fused>(rows_a, rows_b, r + 6, w);
-        const __m512i x7 = load_row<Fused>(rows_a, rows_b, r + 7, w);
+        const __m512i x6 = load_row(rows_a, rows_b, r + 6, w);
+        const __m512i x7 = load_row(rows_a, rows_b, r + 7, w);
         const __m512i twos_d = csa_carry(ones, x6, x7);
         ones = csa_sum(ones, x6, x7);
         const __m512i fours_b = csa_carry(twos, twos_c, twos_d);
@@ -129,7 +127,7 @@ template <bool Fused>
         }
     }
     for (; r < n_rows; ++r) {
-        const __m512i x = load_row<Fused>(rows_a, rows_b, r, w);
+        const __m512i x = load_row(rows_a, rows_b, r, w);
         __m512i carry = _mm512_and_si512(ones, x);
         ones = _mm512_xor_si512(ones, x);
         const __m512i c2 = _mm512_and_si512(twos, carry);
@@ -179,9 +177,9 @@ template <bool Fused>
     }
 }
 
-template <bool Fused>
-void column_counts_impl(const Word* const* rows_a, const Word* const* rows_b, std::size_t n_rows,
-                        std::size_t n_bits, std::int32_t* counts) noexcept {
+void column_counts(const Word* const* rows_a, const Word* const* rows_b, std::size_t n_rows,
+                   std::size_t n_bits, std::int32_t* counts) noexcept {
+    if (n_rows == 0) return;
     const auto n_planes = static_cast<std::size_t>(64 - __builtin_clzll(n_rows));
     // Vector blocks cover whole words only; the partial last word, whose
     // columns past n_bits have no count slot, goes through the scalar tail.
@@ -189,31 +187,25 @@ void column_counts_impl(const Word* const* rows_a, const Word* const* rows_b, st
     std::size_t w = 0;
     for (; w + 8 <= full_words; w += 8) {
         __m512i planes[16];
-        count_planes<Fused>(rows_a, rows_b, n_rows, n_planes, w, planes);
+        count_planes(rows_a, rows_b, n_rows, n_planes, w, planes);
         add_block_counts(planes, n_planes, counts + w * 64);
     }
     detail::column_counts_words(rows_a, rows_b, n_rows, w, n_bits, counts);
 }
 
-void column_counts(const Word* const* rows_a, const Word* const* rows_b, std::size_t n_rows,
-                   std::size_t n_bits, std::int32_t* counts) noexcept {
+void fused_hamming_scores(const Word* const* rows_a, const Word* const* rows_b,
+                          std::size_t n_rows, const Word* const* class_rows,
+                          std::size_t n_classes, std::size_t n_words, TieResolver ties,
+                          void* tie_ctx, std::uint64_t* distances) noexcept {
+    for (std::size_t c = 0; c < n_classes; ++c) distances[c] = 0;
     if (n_rows == 0) return;
-    rows_b == nullptr ? column_counts_impl<false>(rows_a, rows_b, n_rows, n_bits, counts)
-                      : column_counts_impl<true>(rows_a, rows_b, n_rows, n_bits, counts);
-}
-
-template <bool Fused>
-void fused_hamming_scores_impl(const Word* const* rows_a, const Word* const* rows_b,
-                               std::size_t n_rows, const Word* const* class_rows,
-                               std::size_t n_classes, std::size_t n_words, TieResolver ties,
-                               void* tie_ctx, std::uint64_t* distances) noexcept {
     const auto n_planes = static_cast<std::size_t>(64 - __builtin_clzll(n_rows));
     const Word threshold = n_rows / 2;
     const bool can_tie = (n_rows % 2) == 0 && ties != nullptr;
     std::size_t w = 0;
     for (; w + 8 <= n_words; w += 8) {
         __m512i planes[16];
-        count_planes<Fused>(rows_a, rows_b, n_rows, n_planes, w, planes);
+        count_planes(rows_a, rows_b, n_rows, n_planes, w, planes);
         // Bit-sliced count > / == threshold, MSB plane first.
         __m512i gt = _mm512_setzero_si512();
         __m512i eq = _mm512_set1_epi64(-1);
@@ -244,19 +236,6 @@ void fused_hamming_scores_impl(const Word* const* rows_a, const Word* const* row
     }
     detail::fused_hamming_words(rows_a, rows_b, n_rows, class_rows, n_classes, w, n_words, ties,
                                 tie_ctx, distances);
-}
-
-void fused_hamming_scores(const Word* const* rows_a, const Word* const* rows_b,
-                          std::size_t n_rows, const Word* const* class_rows,
-                          std::size_t n_classes, std::size_t n_words, TieResolver ties,
-                          void* tie_ctx, std::uint64_t* distances) noexcept {
-    for (std::size_t c = 0; c < n_classes; ++c) distances[c] = 0;
-    if (n_rows == 0) return;
-    rows_b == nullptr
-        ? fused_hamming_scores_impl<false>(rows_a, rows_b, n_rows, class_rows, n_classes,
-                                           n_words, ties, tie_ctx, distances)
-        : fused_hamming_scores_impl<true>(rows_a, rows_b, n_rows, class_rows, n_classes,
-                                          n_words, ties, tie_ctx, distances);
 }
 
 /// dots[g] = query . rows[g] for G rows in one pass over the query.  vpmuldq

@@ -67,12 +67,10 @@ uint64x2_t csa_carry(uint64x2_t a, uint64x2_t b, uint64x2_t c) noexcept {
     return vorrq_u64(vandq_u64(a, b), vandq_u64(veorq_u64(a, b), c));
 }
 
-template <bool Fused>
+/// Row r's words at `w`, bound on load: rows_a[r] ^ rows_b[r].
 uint64x2_t load_row(const Word* const* rows_a, const Word* const* rows_b, std::size_t r,
                     std::size_t w) noexcept {
-    const uint64x2_t a = vld1q_u64(rows_a[r] + w);
-    if constexpr (!Fused) return a;
-    return veorq_u64(a, vld1q_u64(rows_b[r] + w));
+    return veorq_u64(vld1q_u64(rows_a[r] + w), vld1q_u64(rows_b[r] + w));
 }
 
 /// The Harley–Seal block shared by column_counts and fused_hamming_scores:
@@ -81,7 +79,6 @@ uint64x2_t load_row(const Word* const* rows_a, const Word* const* rows_b, std::s
 /// temps fit the 32-register NEON file.
 /// Forced inline with the planes as a 16-element array so the compiler
 /// sees the plane bound (see kernels_avx512.cpp).
-template <bool Fused>
 [[gnu::always_inline]] inline void count_planes(const Word* const* rows_a,
                                                 const Word* const* rows_b, std::size_t n_rows,
                                                 std::size_t n_planes, std::size_t w,
@@ -92,22 +89,22 @@ template <bool Fused>
     uint64x2_t fours = vdupq_n_u64(0);
     std::size_t r = 0;
     for (; r + 8 <= n_rows; r += 8) {
-        const uint64x2_t x0 = load_row<Fused>(rows_a, rows_b, r + 0, w);
-        const uint64x2_t x1 = load_row<Fused>(rows_a, rows_b, r + 1, w);
+        const uint64x2_t x0 = load_row(rows_a, rows_b, r + 0, w);
+        const uint64x2_t x1 = load_row(rows_a, rows_b, r + 1, w);
         const uint64x2_t twos_a = csa_carry(ones, x0, x1);
         ones = csa_sum(ones, x0, x1);
-        const uint64x2_t x2 = load_row<Fused>(rows_a, rows_b, r + 2, w);
-        const uint64x2_t x3 = load_row<Fused>(rows_a, rows_b, r + 3, w);
+        const uint64x2_t x2 = load_row(rows_a, rows_b, r + 2, w);
+        const uint64x2_t x3 = load_row(rows_a, rows_b, r + 3, w);
         const uint64x2_t twos_b = csa_carry(ones, x2, x3);
         ones = csa_sum(ones, x2, x3);
         const uint64x2_t fours_a = csa_carry(twos, twos_a, twos_b);
         twos = csa_sum(twos, twos_a, twos_b);
-        const uint64x2_t x4 = load_row<Fused>(rows_a, rows_b, r + 4, w);
-        const uint64x2_t x5 = load_row<Fused>(rows_a, rows_b, r + 5, w);
+        const uint64x2_t x4 = load_row(rows_a, rows_b, r + 4, w);
+        const uint64x2_t x5 = load_row(rows_a, rows_b, r + 5, w);
         const uint64x2_t twos_c = csa_carry(ones, x4, x5);
         ones = csa_sum(ones, x4, x5);
-        const uint64x2_t x6 = load_row<Fused>(rows_a, rows_b, r + 6, w);
-        const uint64x2_t x7 = load_row<Fused>(rows_a, rows_b, r + 7, w);
+        const uint64x2_t x6 = load_row(rows_a, rows_b, r + 6, w);
+        const uint64x2_t x7 = load_row(rows_a, rows_b, r + 7, w);
         const uint64x2_t twos_d = csa_carry(ones, x6, x7);
         ones = csa_sum(ones, x6, x7);
         const uint64x2_t fours_b = csa_carry(twos, twos_c, twos_d);
@@ -121,7 +118,7 @@ template <bool Fused>
         }
     }
     for (; r < n_rows; ++r) {
-        const uint64x2_t x = load_row<Fused>(rows_a, rows_b, r, w);
+        const uint64x2_t x = load_row(rows_a, rows_b, r, w);
         uint64x2_t carry = vandq_u64(ones, x);
         ones = veorq_u64(ones, x);
         const uint64x2_t c2 = vandq_u64(twos, carry);
@@ -190,9 +187,9 @@ void add_counts4(std::int32_t* counts, uint32x4_t v) noexcept {
     }
 }
 
-template <bool Fused>
-void column_counts_impl(const Word* const* rows_a, const Word* const* rows_b, std::size_t n_rows,
-                        std::size_t n_bits, std::int32_t* counts) noexcept {
+void column_counts(const Word* const* rows_a, const Word* const* rows_b, std::size_t n_rows,
+                   std::size_t n_bits, std::int32_t* counts) noexcept {
+    if (n_rows == 0) return;
     const auto n_planes = static_cast<std::size_t>(64 - __builtin_clzll(n_rows));
     // Vector blocks cover whole words only; the partial last word, whose
     // columns past n_bits have no count slot, goes through the scalar tail.
@@ -200,31 +197,25 @@ void column_counts_impl(const Word* const* rows_a, const Word* const* rows_b, st
     std::size_t w = 0;
     for (; w + 2 <= full_words; w += 2) {
         uint64x2_t planes[16];
-        count_planes<Fused>(rows_a, rows_b, n_rows, n_planes, w, planes);
+        count_planes(rows_a, rows_b, n_rows, n_planes, w, planes);
         add_block_counts(planes, n_planes, counts + w * 64);
     }
     detail::column_counts_words(rows_a, rows_b, n_rows, w, n_bits, counts);
 }
 
-void column_counts(const Word* const* rows_a, const Word* const* rows_b, std::size_t n_rows,
-                   std::size_t n_bits, std::int32_t* counts) noexcept {
+void fused_hamming_scores(const Word* const* rows_a, const Word* const* rows_b,
+                          std::size_t n_rows, const Word* const* class_rows,
+                          std::size_t n_classes, std::size_t n_words, TieResolver ties,
+                          void* tie_ctx, std::uint64_t* distances) noexcept {
+    for (std::size_t c = 0; c < n_classes; ++c) distances[c] = 0;
     if (n_rows == 0) return;
-    rows_b == nullptr ? column_counts_impl<false>(rows_a, rows_b, n_rows, n_bits, counts)
-                      : column_counts_impl<true>(rows_a, rows_b, n_rows, n_bits, counts);
-}
-
-template <bool Fused>
-void fused_hamming_scores_impl(const Word* const* rows_a, const Word* const* rows_b,
-                               std::size_t n_rows, const Word* const* class_rows,
-                               std::size_t n_classes, std::size_t n_words, TieResolver ties,
-                               void* tie_ctx, std::uint64_t* distances) noexcept {
     const auto n_planes = static_cast<std::size_t>(64 - __builtin_clzll(n_rows));
     const Word threshold = n_rows / 2;
     const bool can_tie = (n_rows % 2) == 0 && ties != nullptr;
     std::size_t w = 0;
     for (; w + 2 <= n_words; w += 2) {
         uint64x2_t planes[16];
-        count_planes<Fused>(rows_a, rows_b, n_rows, n_planes, w, planes);
+        count_planes(rows_a, rows_b, n_rows, n_planes, w, planes);
         // Bit-sliced count > / == threshold, MSB plane first.
         uint64x2_t gt = vdupq_n_u64(0);
         uint64x2_t eq = vdupq_n_u64(~Word{0});
@@ -253,19 +244,6 @@ void fused_hamming_scores_impl(const Word* const* rows_a, const Word* const* row
     }
     detail::fused_hamming_words(rows_a, rows_b, n_rows, class_rows, n_classes, w, n_words, ties,
                                 tie_ctx, distances);
-}
-
-void fused_hamming_scores(const Word* const* rows_a, const Word* const* rows_b,
-                          std::size_t n_rows, const Word* const* class_rows,
-                          std::size_t n_classes, std::size_t n_words, TieResolver ties,
-                          void* tie_ctx, std::uint64_t* distances) noexcept {
-    for (std::size_t c = 0; c < n_classes; ++c) distances[c] = 0;
-    if (n_rows == 0) return;
-    rows_b == nullptr
-        ? fused_hamming_scores_impl<false>(rows_a, rows_b, n_rows, class_rows, n_classes,
-                                           n_words, ties, tie_ctx, distances)
-        : fused_hamming_scores_impl<true>(rows_a, rows_b, n_rows, class_rows, n_classes,
-                                          n_words, ties, tie_ctx, distances);
 }
 
 /// dots[g] = query . rows[g] for G rows in one pass over the query:

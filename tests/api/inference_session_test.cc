@@ -232,48 +232,6 @@ TEST(InferenceSession, AwkwardBatchSizesStayBitIdentical) {
     }
 }
 
-class InferenceSessionCache : public ::testing::TestWithParam<hdc::ModelKind> {};
-
-TEST_P(InferenceSessionCache, ProductCacheIsBitIdenticalToFusedPath) {
-    const Pipeline pipeline = make_pipeline(GetParam());
-
-    api::SessionOptions plain;
-    const auto baseline = pipeline.owner.open_session(plain);
-    EXPECT_FALSE(baseline.product_cache_active());
-
-    api::SessionOptions cached = plain;
-    cached.use_product_cache = true;
-    const auto session = pipeline.owner.open_session(cached);
-    ASSERT_TRUE(session.product_cache_active());
-
-    EXPECT_EQ(session.predict(pipeline.data.test.X), baseline.predict(pipeline.data.test.X));
-    for (std::size_t s = 0; s < 5; ++s) {
-        EXPECT_EQ(session.predict_row(pipeline.data.test.X.row(s)),
-                  pipeline.classifier.predict_row(pipeline.data.test.X.row(s)));
-    }
-}
-
-INSTANTIATE_TEST_SUITE_P(Kinds, InferenceSessionCache,
-                         ::testing::Values(hdc::ModelKind::binary, hdc::ModelKind::non_binary),
-                         [](const ::testing::TestParamInfo<hdc::ModelKind>& info) {
-                             return info.param == hdc::ModelKind::binary ? "binary" : "nonbinary";
-                         });
-
-TEST(InferenceSession, ProductCacheFallsBackWhenOverBudget) {
-    const Pipeline pipeline = make_pipeline(hdc::ModelKind::binary);
-    api::SessionOptions options;
-    options.use_product_cache = true;
-    options.product_cache_max_bytes = 1;  // nothing fits
-    const auto session = pipeline.owner.open_session(options);
-    EXPECT_FALSE(session.product_cache_active());
-
-    // Still serves, still bit-identical.
-    const auto predictions = session.predict(pipeline.data.test.X);
-    for (std::size_t s = 0; s < predictions.size(); ++s) {
-        EXPECT_EQ(predictions[s], pipeline.classifier.predict_row(pipeline.data.test.X.row(s)));
-    }
-}
-
 TEST(InferenceSession, RejectsMismatchedComponents) {
     const Pipeline pipeline = make_pipeline(hdc::ModelKind::binary);
     // Discretizer with the wrong level count for the encoder.
@@ -628,7 +586,6 @@ TEST(InferenceSession, FusedBatchExceptionIsScopedToTheOffendingRequest) {
 
     api::SessionOptions options;
     options.n_threads = 1;           // sequential encode: rows 0..n in order
-    options.use_product_cache = false;
     options.max_batch = 3;           // pop_batch waits for all three rows...
     options.max_queue_delay = std::chrono::microseconds(2'000'000);  // ...for up to 2 s
     const api::InferenceSession session(poison, classifier.discretizer(), classifier.model(),
@@ -666,17 +623,13 @@ TEST(InferenceSession, FusedPredictLabelsMatchTwoStepPathBitExactly) {
     // encode_binary, then the Hamming argmin over the class hypervectors.
     const Pipeline pipeline = make_pipeline(hdc::ModelKind::binary);
     const std::vector<int> reference = reference_labels(pipeline);
-    for (const bool cached : {false, true}) {
-        for (const std::size_t n_threads : {1u, 4u}) {
-            api::SessionOptions options;
-            options.use_product_cache = cached;
-            options.n_threads = n_threads;
-            options.min_rows_per_thread = 1;
-            const auto fused = pipeline.owner.open_session(options);
-            ASSERT_TRUE(fused.fused_predict_active());
-            EXPECT_EQ(fused.predict(pipeline.data.test.X), reference)
-                << "cached=" << cached << " T" << n_threads;
-        }
+    for (const std::size_t n_threads : {1u, 4u}) {
+        api::SessionOptions options;
+        options.n_threads = n_threads;
+        options.min_rows_per_thread = 1;
+        const auto fused = pipeline.owner.open_session(options);
+        ASSERT_TRUE(fused.fused_predict_active());
+        EXPECT_EQ(fused.predict(pipeline.data.test.X), reference) << "T" << n_threads;
     }
 }
 

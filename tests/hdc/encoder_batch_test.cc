@@ -1,9 +1,8 @@
 // Tests for the batch-first encoding pipeline (src/hdc/encoder.*): the
-// allocation-free encode_into/encode_batch paths and the opt-in
-// BoundProductCache must be bit-identical to the per-row API and to the
-// naive Eq. 2 reference, for every Encoder implementation (RecordEncoder,
-// LockedEncoder, api::SealedEncoder), including sign(0) tie-breaking in
-// encode_binary_batch.
+// allocation-free encode_into/encode_batch paths must be bit-identical to
+// the per-row API and to the naive Eq. 2 reference, for every Encoder
+// implementation (RecordEncoder, LockedEncoder, api::SealedEncoder),
+// including sign(0) tie-breaking in encode_binary_batch.
 
 #include "hdc/encoder.hpp"
 
@@ -17,7 +16,6 @@
 
 using hdlock::ContractViolation;
 using hdlock::hdc::BinaryHV;
-using hdlock::hdc::BoundProductCache;
 using hdlock::hdc::Encoder;
 using hdlock::hdc::EncoderScratch;
 using hdlock::hdc::IntHV;
@@ -46,26 +44,19 @@ hdlock::util::Matrix<int> random_level_matrix(std::size_t rows, std::size_t n_fe
     return levels;
 }
 
-/// Asserts that batch, cached-batch and allocation-free row paths all agree
-/// bit-exactly with the per-row encode()/encode_binary() API.
+/// Asserts that batch and allocation-free row paths all agree bit-exactly
+/// with the per-row encode()/encode_binary() API.
 void expect_all_paths_identical(const Encoder& encoder,
                                 const hdlock::util::Matrix<int>& levels) {
-    const auto cache = encoder.make_product_cache(std::size_t{1} << 30);
-    ASSERT_NE(cache, nullptr);
-
     EncoderScratch scratch;
-    std::vector<IntHV> batch, batch_cached;
+    std::vector<IntHV> batch;
     encoder.encode_batch(levels, scratch, batch);
-    encoder.encode_batch(levels, scratch, batch_cached, cache.get());
 
-    std::vector<BinaryHV> binary_batch, binary_batch_cached;
+    std::vector<BinaryHV> binary_batch;
     encoder.encode_binary_batch(levels, scratch, binary_batch);
-    encoder.encode_binary_batch(levels, scratch, binary_batch_cached, cache.get());
 
     ASSERT_EQ(batch.size(), levels.rows());
-    ASSERT_EQ(batch_cached.size(), levels.rows());
     ASSERT_EQ(binary_batch.size(), levels.rows());
-    ASSERT_EQ(binary_batch_cached.size(), levels.rows());
 
     IntHV row_sums;
     BinaryHV row_binary;
@@ -73,16 +64,14 @@ void expect_all_paths_identical(const Encoder& encoder,
         const auto row = levels.row(r);
         const IntHV expected = encoder.encode(row);
         EXPECT_EQ(batch[r], expected) << "row " << r;
-        EXPECT_EQ(batch_cached[r], expected) << "row " << r << " (cached)";
 
-        encoder.encode_into(row, scratch, row_sums, cache.get());
+        encoder.encode_into(row, scratch, row_sums);
         EXPECT_EQ(row_sums, expected) << "row " << r << " (encode_into)";
 
         const BinaryHV expected_binary = encoder.encode_binary(row);
         EXPECT_EQ(binary_batch[r], expected_binary) << "row " << r;
-        EXPECT_EQ(binary_batch_cached[r], expected_binary) << "row " << r << " (cached)";
 
-        encoder.encode_binary_into(row, scratch, row_binary, cache.get());
+        encoder.encode_binary_into(row, scratch, row_binary);
         EXPECT_EQ(row_binary, expected_binary) << "row " << r << " (encode_binary_into)";
     }
 }
@@ -181,52 +170,11 @@ TEST(EncoderBatch, ScratchAdaptsAcrossEncoderShapes) {
     EXPECT_EQ(out, small.encode(small_levels.row(0)));
 }
 
-TEST(BoundProductCache, FootprintAndCapBehavior) {
-    const std::size_t dim = 1000, n_features = 10, n_levels = 4;
-    const RecordEncoder encoder(make_memory(dim, n_features, n_levels, 9), 1);
-
-    const std::size_t bytes = BoundProductCache::bytes_required(n_features, n_levels, dim);
-    EXPECT_EQ(bytes, n_features * n_levels * hdlock::util::bits::word_count(dim) *
-                         sizeof(hdlock::util::bits::Word));
-
-    // Cap one byte below the requirement -> no cache; at the requirement ->
-    // cache materializes with exactly that footprint.
-    EXPECT_EQ(encoder.make_product_cache(bytes - 1), nullptr);
-    const auto cache = encoder.make_product_cache(bytes);
-    ASSERT_NE(cache, nullptr);
-    EXPECT_EQ(cache->bytes(), bytes);
-    EXPECT_TRUE(cache->matches(n_features, n_levels, dim));
-    EXPECT_FALSE(cache->matches(n_features, n_levels, dim + 1));
-}
-
-TEST(BoundProductCache, ProductsAreTheBoundPairs) {
-    const std::size_t dim = 512, n_features = 6, n_levels = 3;
-    const auto memory = make_memory(dim, n_features, n_levels, 21);
-    const RecordEncoder encoder(memory, 1);
-    const auto cache = encoder.make_product_cache(std::size_t{1} << 24);
-    ASSERT_NE(cache, nullptr);
-
-    for (std::size_t i = 0; i < n_features; ++i) {
-        for (std::size_t m = 0; m < n_levels; ++m) {
-            const BinaryHV expected = memory->feature_hv(i) * memory->value_hv(m);
-            const auto product = cache->product(i, m);
-            ASSERT_EQ(product.size(), expected.words().size());
-            EXPECT_TRUE(hdlock::util::bits::equal(product, expected.words()))
-                << "feature " << i << " level " << m;
-        }
-    }
-}
-
 TEST(EncoderBatch, RejectsMismatchedCacheAndShapes) {
     const RecordEncoder encoder(make_memory(256, 8, 4, 11), 1);
-    const RecordEncoder other(make_memory(256, 8, 8, 11), 1);
-    const auto wrong_cache = other.make_product_cache(std::size_t{1} << 24);
-    ASSERT_NE(wrong_cache, nullptr);
-
     EncoderScratch scratch;
     IntHV out;
-    const auto levels = random_level_matrix(1, 8, 4, 13);
-    EXPECT_THROW(encoder.encode_into(levels.row(0), scratch, out, wrong_cache.get()),
+    EXPECT_THROW(encoder.encode_into(std::vector<int>{0, 1, 2}, scratch, out),
                  ContractViolation);
 
     std::vector<IntHV> batch;

@@ -209,9 +209,8 @@ TEST(RecordEncoder, RejectsMemoryWithoutFeatureHVs) {
 
 // The fused kernel path must reproduce the two-step encode_binary + hamming
 // distances bit-for-bit: every backend, dimensions spanning vector-width
-// tails (64 / odd / 1000 / 10000), bound-product cache on and off, and both
-// feature-count parities — even N exercises the randomized tie draws, odd N
-// the tie-free path.
+// tails (64 / odd / 1000 / 10000), and both feature-count parities — even N
+// exercises the randomized tie draws, odd N the tie-free path.
 TEST(EncoderFused, DistancesMatchTwoStepPathEverywhere) {
     namespace kernels = hdlock::util::kernels;
     for (const auto& [dim, n_features, n_levels] :
@@ -220,8 +219,6 @@ TEST(EncoderFused, DistancesMatchTwoStepPathEverywhere) {
           std::make_tuple<std::size_t, std::size_t, std::size_t>(1000, 64, 8),
           std::make_tuple<std::size_t, std::size_t, std::size_t>(10000, 63, 4)}) {
         const RecordEncoder encoder(make_memory(dim, n_features, n_levels, 5), /*tie_seed=*/9);
-        const auto cache = encoder.make_product_cache(std::size_t{1} << 30);
-        ASSERT_NE(cache, nullptr);
 
         const std::size_t n_classes = 5;
         hdlock::util::Xoshiro256ss rng(4242);
@@ -238,15 +235,11 @@ TEST(EncoderFused, DistancesMatchTwoStepPathEverywhere) {
 
             for (const auto kind : kernels::available_backends()) {
                 kernels::ScopedBackend pin(kind);
-                for (const bool cached : {false, true}) {
-                    hdlock::hdc::EncoderScratch scratch;
-                    std::vector<std::uint64_t> distances(n_classes, 0);
-                    encoder.fused_hamming_into(levels, scratch, class_hvs, distances,
-                                               cached ? cache.get() : nullptr);
-                    EXPECT_EQ(distances, expected)
-                        << kernels::backend_name(kind) << " D=" << dim << " N=" << n_features
-                        << " cached=" << cached;
-                }
+                hdlock::hdc::EncoderScratch scratch;
+                std::vector<std::uint64_t> distances(n_classes, 0);
+                encoder.fused_hamming_into(levels, scratch, class_hvs, distances);
+                EXPECT_EQ(distances, expected)
+                    << kernels::backend_name(kind) << " D=" << dim << " N=" << n_features;
             }
         }
     }
@@ -261,8 +254,6 @@ TEST(EncoderFused, TieDrawsMatchSignIntoOnEvenFeatureCounts) {
     const std::size_t dim = 1000;
     const std::size_t n_features = 8;  // even and small: many ties per row
     const RecordEncoder encoder(make_memory(dim, n_features, 4, 21), /*tie_seed=*/77);
-    const auto cache = encoder.make_product_cache(std::size_t{1} << 30);
-    ASSERT_NE(cache, nullptr);
 
     hdlock::util::Xoshiro256ss rng(31337);
     std::vector<BinaryHV> class_hvs{BinaryHV::random(dim, rng), BinaryHV::random(dim, rng)};
@@ -277,15 +268,10 @@ TEST(EncoderFused, TieDrawsMatchSignIntoOnEvenFeatureCounts) {
         for (const auto& hv : class_hvs) expected.push_back(hv.hamming(query));
         for (const auto kind : kernels::available_backends()) {
             kernels::ScopedBackend pin(kind);
-            for (const bool cached : {false, true}) {
-                hdlock::hdc::EncoderScratch scratch;
-                std::vector<std::uint64_t> distances(class_hvs.size(), 0);
-                encoder.fused_hamming_into(levels, scratch, class_hvs, distances,
-                                           cached ? cache.get() : nullptr);
-                EXPECT_EQ(distances, expected)
-                    << kernels::backend_name(kind) << " trial=" << trial
-                    << " cached=" << cached;
-            }
+            hdlock::hdc::EncoderScratch scratch;
+            std::vector<std::uint64_t> distances(class_hvs.size(), 0);
+            encoder.fused_hamming_into(levels, scratch, class_hvs, distances);
+            EXPECT_EQ(distances, expected) << kernels::backend_name(kind) << " trial=" << trial;
         }
     }
     EXPECT_GT(tied_columns, 0u) << "test shape never tied; tie parity untested";

@@ -304,8 +304,6 @@ TEST(HdcModel, PredictFusedMatchesTwoStepPredict) {
     auto memory = std::make_shared<const hdlock::hdc::ItemMemory>(
         hdlock::hdc::ItemMemory::generate(memory_config));
     const hdlock::hdc::RecordEncoder encoder(memory, /*tie_seed=*/3);
-    const auto cache = encoder.make_product_cache(std::size_t{1} << 30);
-    ASSERT_NE(cache, nullptr);
 
     const auto batch = make_batch(4, 10, 1000, 0.2, 9, true);
     TrainConfig config;
@@ -320,10 +318,8 @@ TEST(HdcModel, PredictFusedMatchesTwoStepPredict) {
         const int expected = model.predict(encoder.encode_binary(levels));
         for (const auto kind : kernels::available_backends()) {
             kernels::ScopedBackend pin(kind);
-            EXPECT_EQ(model.predict_fused(encoder, levels, scratch, nullptr), expected)
-                << kernels::backend_name(kind) << " uncached, trial " << trial;
-            EXPECT_EQ(model.predict_fused(encoder, levels, scratch, cache.get()), expected)
-                << kernels::backend_name(kind) << " cached, trial " << trial;
+            EXPECT_EQ(model.predict_fused(encoder, levels, scratch), expected)
+                << kernels::backend_name(kind) << " trial " << trial;
         }
     }
 }

@@ -1,6 +1,7 @@
 // Tests for the n-gram sequence encoder (src/hdc/ngram_encoder.*): gram
-// binding semantics, order sensitivity, bag-of-symbols degeneration, locked
-// symbol memories, and a small sequence-classification round trip.
+// binding semantics, encode() against the per-gram sum, order sensitivity,
+// bag-of-symbols degeneration, locked symbol memories, and a small
+// sequence-classification round trip.
 
 #include "hdc/ngram_encoder.hpp"
 
@@ -9,6 +10,7 @@
 #include "core/locked_encoder.hpp"
 #include "hdc/model.hpp"
 #include "util/error.hpp"
+#include "util/kernels.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -63,11 +65,43 @@ TEST(NGramEncoder, SingleGramIsTheBoundProduct) {
     // One gram: the non-binary sums are exactly the bipolar gram vector.
     const auto sums = encoder.encode(gram);
     const auto bound = encoder.gram_hv(gram);
-    for (std::size_t j = 0; j < kDim; ++j) {
-        EXPECT_EQ(sums[j], bound.get(j));
-        if (j > 64) break;  // spot check is enough, full equality below
-    }
+    for (std::size_t j = 0; j < kDim; ++j) ASSERT_EQ(sums[j], bound.get(j)) << "column " << j;
     EXPECT_EQ(sums.zero_count(), 0u);
+}
+
+// encode() feeds the kernel each gram as a pair it binds on load: the
+// binding of the older, rotated positions (all-zero for a 1-gram) and the
+// newest symbol.  The result must be the column-wise sum of gram_hv over
+// every gram, for gram sizes 1-3, at gram counts on both sides of encode's
+// 64-gram batches, at a dimension with a tail word, on every backend.
+TEST(NGramEncoder, EncodeIsTheSumOfEveryGramVector) {
+    constexpr std::size_t kTailDim = 1000;
+    constexpr std::size_t kAlphabet = 5;
+    util::Xoshiro256ss rng(404);
+    for (const std::size_t gram_size : {std::size_t{1}, std::size_t{2}, std::size_t{3}}) {
+        const NGramEncoder encoder(hdc::generate_symbol_hvs(kTailDim, kAlphabet, 6), gram_size,
+                                   /*tie_seed=*/77);
+        for (const std::size_t n_grams :
+             {std::size_t{1}, std::size_t{64}, std::size_t{65}, std::size_t{130}}) {
+            std::vector<int> sequence(n_grams + gram_size - 1);
+            for (auto& symbol : sequence) symbol = static_cast<int>(rng.next_below(kAlphabet));
+            const std::span<const int> grams(sequence);
+            hdc::IntHV expected(kTailDim);
+            for (std::size_t t = 0; t < n_grams; ++t) {
+                expected.add(encoder.gram_hv(grams.subspan(t, gram_size)));
+            }
+            for (const auto kind : util::kernels::available_backends()) {
+                const util::kernels::ScopedBackend pin(kind);
+                const hdc::IntHV actual = encoder.encode(sequence);
+                ASSERT_EQ(actual.dim(), kTailDim);
+                for (std::size_t j = 0; j < kTailDim; ++j) {
+                    ASSERT_EQ(actual[j], expected[j])
+                        << util::kernels::backend_name(kind) << " gram size " << gram_size
+                        << ", " << n_grams << " grams, column " << j;
+                }
+            }
+        }
+    }
 }
 
 TEST(NGramEncoder, GramBindingUsesPositionPermutation) {

@@ -5,9 +5,11 @@
 // up to and past the per-call cap — and the selection machinery (parse /
 // choose / set / scoped restore) must behave.  The column-count tests check
 // column_counts against the naive reference of src/util/bitslice.*, with
-// rows split over calls that accumulate into one count buffer the way
-// Encoder::encode_into splits feature counts above kMaxFusedRows.  (The
-// ColumnCounter suite names predate column_counts; they name that path.)
+// row pairs (bound on load, the only form the kernels take) split over calls
+// that accumulate into one count buffer the way Encoder::encode_into splits
+// feature counts above kMaxFusedRows; a test that needs the counts of plain
+// rows pairs each with an all-zero row.  (The ColumnCounter suite names
+// predate column_counts; they name that path.)
 // Backends the host cannot run are skipped cleanly, so the suite is green on
 // any machine.
 
@@ -221,16 +223,23 @@ std::vector<std::int32_t> naive_counts(const Rows& rows, std::size_t n_bits) {
     return counts;
 }
 
-/// Adds the column counts of rows_a (bound to rows_b unless it is empty)
-/// onto `counts` through `backend`, in calls of at most `per_call` rows.
+/// Adds the column counts of the bound pairs rows_a[r] ^ rows_b[r] onto
+/// `counts` through `backend`, in calls of at most `per_call` rows.
 void count_columns(const KernelBackend& backend, const RowTable& rows_a, const RowTable& rows_b,
                    std::size_t per_call, std::size_t n_bits, std::vector<std::int32_t>& counts) {
     for (std::size_t first = 0; first < rows_a.size(); first += per_call) {
         const std::size_t n = std::min(per_call, rows_a.size() - first);
-        backend.column_counts(rows_a.data() + first,
-                              rows_b.empty() ? nullptr : rows_b.data() + first, n, n_bits,
+        backend.column_counts(rows_a.data() + first, rows_b.data() + first, n, n_bits,
                               counts.data());
     }
+}
+
+/// count_columns for plain rows: each row is paired with the all-zero row,
+/// the identity of XOR binding, so the counts are those of the rows alone.
+void count_plain(const KernelBackend& backend, const RowTable& rows, std::size_t per_call,
+                 std::size_t n_bits, std::vector<std::int32_t>& counts) {
+    const std::vector<Word> zero(bits::word_count(n_bits), 0);
+    count_columns(backend, rows, RowTable(rows.size(), zero.data()), per_call, n_bits, counts);
 }
 
 /// A table of n_rows row pairs drawn from at most kPoolRows distinct random
@@ -252,16 +261,12 @@ struct PooledRows {
         }
     }
 
-    /// The naive counts of rows_a alone, or of rows_a bound to rows_b.
-    std::vector<std::int32_t> expected(std::size_t n_bits, bool bound) const {
+    /// The naive counts of rows_a bound to rows_b.
+    std::vector<std::int32_t> expected(std::size_t n_bits) const {
         std::vector<std::int32_t> counts(n_bits, 0);
         std::vector<Word> product(bits::word_count(n_bits));
         for (std::size_t i = 0; i < pool_a.size(); ++i) {
-            if (bound) {
-                bits::xor_into(product, pool_a[i], pool_b[i]);
-            } else {
-                product = pool_a[i];
-            }
+            bits::xor_into(product, pool_a[i], pool_b[i]);
             std::vector<std::int32_t> once(n_bits, 0);
             hdlock::util::naive_accumulate(product, n_bits, once);
             const auto repeats =
@@ -276,11 +281,11 @@ const std::size_t kDims[] = {1, 63, 64, 65, 513, 10000};
 
 }  // namespace
 
-// (n_bits, n_planes, n_rows).  The rows go through column_counts in calls of
-// 2^n_planes - 1 rows, the count capacity of n_planes bit planes, so every
-// full call fills its planes to capacity and the calls accumulate; in the
-// cached form (rows_b == nullptr, the BoundProductCache path) and the bound
-// form (rows_a ^ rows_b), against the naive reference on every backend.
+// (n_bits, n_planes, n_rows).  The row pairs go through column_counts in
+// calls of 2^n_planes - 1 rows, the count capacity of n_planes bit planes, so
+// every full call fills its planes to capacity and the calls accumulate;
+// against the naive counts of the bound rows rows_a ^ rows_b on every
+// backend.
 class ColumnCounterTest
     : public ::testing::TestWithParam<std::tuple<std::size_t, std::size_t, std::size_t>> {};
 
@@ -288,16 +293,12 @@ TEST_P(ColumnCounterTest, MatchesNaiveAccumulation) {
     const auto [n_bits, n_planes, n_rows] = GetParam();
     Xoshiro256ss rng(991);
     const PooledRows rows(n_rows, n_bits, rng);
-    const RowTable unbound;
     const std::size_t per_call = (std::size_t{1} << n_planes) - 1;
-    for (const bool bound : {false, true}) {
-        const auto expected = rows.expected(n_bits, bound);
-        for (const KernelBackend* backend : all_available()) {
-            std::vector<std::int32_t> counts(n_bits, 0);
-            count_columns(*backend, rows.rows_a, bound ? rows.rows_b : unbound, per_call, n_bits,
-                          counts);
-            EXPECT_EQ(counts, expected) << backend->name << " bound=" << bound;
-        }
+    const auto expected = rows.expected(n_bits);
+    for (const KernelBackend* backend : all_available()) {
+        std::vector<std::int32_t> counts(n_bits, 0);
+        count_columns(*backend, rows.rows_a, rows.rows_b, per_call, n_bits, counts);
+        EXPECT_EQ(counts, expected) << backend->name;
     }
 }
 
@@ -322,9 +323,8 @@ INSTANTIATE_TEST_SUITE_P(
                                                       kernels::kMaxFusedRows + 1)));
 
 TEST(ColumnCounter, AddXorMatchesMaterializedXor) {
-    // The uncached encoder form: counting (a, b) pairs must be exactly
-    // counting the materialized products a ^ b, for widths with a partial
-    // tail word.
+    // The encoder form: counting (a, b) pairs must be exactly counting the
+    // materialized products a ^ b, for widths with a partial tail word.
     for (const std::size_t n_bits : {std::size_t{1}, std::size_t{64}, std::size_t{65},
                                      std::size_t{1000}, std::size_t{4096}}) {
         Xoshiro256ss rng(1234 + n_bits);
@@ -337,37 +337,10 @@ TEST(ColumnCounter, AddXorMatchesMaterializedXor) {
             std::vector<std::int32_t> fused(n_bits, 0);
             std::vector<std::int32_t> materialized(n_bits, 0);
             count_columns(*backend, pointers(a), pointers(b), 130, n_bits, fused);
-            count_columns(*backend, pointers(products), {}, 130, n_bits, materialized);
+            count_plain(*backend, pointers(products), 130, n_bits, materialized);
             EXPECT_EQ(fused, materialized) << backend->name << " n_bits=" << n_bits;
             EXPECT_EQ(fused, naive) << backend->name << " n_bits=" << n_bits;
         }
-    }
-}
-
-TEST(ColumnCounter, AddXorInterleavesWithAdd) {
-    // Bound and plain calls accumulate into the same buffer.
-    const std::size_t n_bits = 200;
-    Xoshiro256ss rng(77);
-    const Rows a = random_rows(70, n_bits, rng);
-    const Rows b = random_rows(70, n_bits, rng);
-    const Rows plain = random_rows(70, n_bits, rng);
-    Rows expected_rows = plain;
-    for (std::size_t r = 0; r < a.size(); ++r) {
-        std::vector<Word> product(bits::word_count(n_bits));
-        bits::xor_into(product, a[r], b[r]);
-        expected_rows.push_back(std::move(product));
-    }
-    const auto naive = naive_counts(expected_rows, n_bits);
-    const RowTable ptrs_a = pointers(a), ptrs_b = pointers(b), ptrs_plain = pointers(plain);
-    for (const KernelBackend* backend : all_available()) {
-        std::vector<std::int32_t> counts(n_bits, 0);
-        for (std::size_t first = 0; first < 70; first += 10) {
-            backend->column_counts(ptrs_a.data() + first, ptrs_b.data() + first, 10, n_bits,
-                                   counts.data());
-            backend->column_counts(ptrs_plain.data() + first, nullptr, 10, n_bits,
-                                   counts.data());
-        }
-        EXPECT_EQ(counts, naive) << backend->name;
     }
 }
 
@@ -382,9 +355,9 @@ TEST(ColumnCounter, UsableAfterCountsInto) {
     all.insert(all.end(), second.begin(), second.end());
     for (const KernelBackend* backend : all_available()) {
         std::vector<std::int32_t> counts(n_bits, 0);
-        count_columns(*backend, pointers(first), {}, first.size(), n_bits, counts);
+        count_plain(*backend, pointers(first), first.size(), n_bits, counts);
         EXPECT_EQ(counts, naive_counts(first, n_bits)) << backend->name;
-        count_columns(*backend, pointers(second), {}, second.size(), n_bits, counts);
+        count_plain(*backend, pointers(second), second.size(), n_bits, counts);
         EXPECT_EQ(counts, naive_counts(all, n_bits)) << backend->name;
     }
 }
@@ -398,7 +371,7 @@ TEST(ColumnCounter, AllOnesAndAllZeros) {
     rows.insert(rows.end(), 5, zeros);
     for (const KernelBackend* backend : all_available()) {
         std::vector<std::int32_t> counts(n_bits, 0);
-        count_columns(*backend, pointers(rows), {}, 63, n_bits, counts);  // crosses call boundaries
+        count_plain(*backend, pointers(rows), 63, n_bits, counts);  // crosses call boundaries
         for (const auto c : counts) EXPECT_EQ(c, 130) << backend->name;
     }
 }
@@ -419,7 +392,7 @@ TEST(Kernels, ColumnCountsReachTheRowCap) {
         const RowTable rows(kernels::kMaxFusedRows + 1, ones.data());
         for (const KernelBackend* backend : all_available()) {
             std::vector<std::int32_t> counts(n_bits, 0);
-            count_columns(*backend, rows, {}, kernels::kMaxFusedRows, n_bits, counts);
+            count_plain(*backend, rows, kernels::kMaxFusedRows, n_bits, counts);
             EXPECT_EQ(counts, std::vector<std::int32_t>(
                                   n_bits, static_cast<std::int32_t>(kernels::kMaxFusedRows + 1)))
                 << backend->name << " D=" << n_bits;
@@ -429,8 +402,8 @@ TEST(Kernels, ColumnCountsReachTheRowCap) {
 
 // End-to-end through dispatch: column_counts reached via set_backend must
 // produce identical counts on every backend, over odd tail lengths (D not a
-// multiple of 256/512) and a mix of bound and plain calls of several sizes
-// accumulating into one buffer.
+// multiple of 256/512) and calls of several sizes accumulating into one
+// buffer.
 TEST(Kernels, ColumnCounterBitIdenticalAcrossBackends) {
     const auto available = kernels::available_backends();
     if (available.size() < 2) GTEST_SKIP() << "only portable available on this host";
@@ -459,11 +432,9 @@ TEST(Kernels, ColumnCounterBitIdenticalAcrossBackends) {
             for (const Backend kind : available) {
                 kernels::ScopedBackend pin(kind);
                 std::vector<std::int32_t> counts(n_bits, 0);
-                for (std::size_t first = 0, call = 0; first < rows.size();
-                     first += per_call, ++call) {
+                for (std::size_t first = 0; first < rows.size(); first += per_call) {
                     const std::size_t n = std::min(per_call, rows.size() - first);
-                    kernels::active().column_counts(ptrs_a.data() + first,
-                                                    call % 2 == 1 ? ptrs_b.data() + first : nullptr,
+                    kernels::active().column_counts(ptrs_a.data() + first, ptrs_b.data() + first,
                                                     n, n_bits, counts.data());
                 }
                 if (kind == Backend::portable) {
@@ -502,8 +473,9 @@ Word rng_ties(void* ctx, Word eq_mask, std::size_t /*word_index*/) noexcept {
 }
 
 /// Independent scalar re-implementation of the fused contract: majority of
-/// per-column counts (ties at exactly n/2 for even n resolved by `ties`),
-/// then per-class Hamming against the implied query.
+/// the per-column counts of the bound rows rows_a ^ rows_b (ties at exactly
+/// n/2 for even n resolved by `ties`), then per-class Hamming against the
+/// implied query.
 std::vector<std::uint64_t> fused_reference(const std::vector<std::vector<Word>>& rows_a,
                                            const std::vector<std::vector<Word>>& rows_b,
                                            const std::vector<std::vector<Word>>& classes,
@@ -517,9 +489,7 @@ std::vector<std::uint64_t> fused_reference(const std::vector<std::vector<Word>>&
         for (std::size_t bit = 0; bit < 64; ++bit) {
             std::size_t count = 0;
             for (std::size_t r = 0; r < n; ++r) {
-                Word x = rows_a[r][w];
-                if (!rows_b.empty()) x ^= rows_b[r][w];
-                count += (x >> bit) & 1u;
+                count += ((rows_a[r][w] ^ rows_b[r][w]) >> bit) & 1u;
             }
             if (count > n / 2) {
                 query |= Word{1} << bit;
@@ -539,8 +509,7 @@ std::vector<std::uint64_t> fused_reference(const std::vector<std::vector<Word>>&
 
 // The fused encode→distance kernel vs the scalar reference and across
 // backends: row counts spanning the 8-row groups and every leftover shape,
-// word counts spanning vector-width tails, cached (rows_b == nullptr) and
-// uncached (XOR-on-load) forms, with and without a tie resolver.
+// word counts spanning vector-width tails, with and without a tie resolver.
 TEST(Kernels, FusedHammingScoresMatchesReferenceAcrossBackends) {
     Xoshiro256ss rng(83);
     const KernelBackend& portable = kernels::portable_backend();
@@ -563,31 +532,23 @@ TEST(Kernels, FusedHammingScoresMatchesReferenceAcrossBackends) {
                 class_ptrs.push_back(classes.back().data());
             }
 
-            for (const bool cached : {true, false}) {
-                for (const bool with_ties : {true, false}) {
-                    const kernels::TieResolver ties = with_ties ? &pattern_ties : nullptr;
-                    const auto expected =
-                        fused_reference(rows_a,
-                                        cached ? std::vector<std::vector<Word>>{} : rows_b,
-                                        classes, n_words, ties, nullptr);
-                    std::vector<std::uint64_t> actual(n_classes, ~std::uint64_t{0});
-                    portable.fused_hamming_scores(ptrs_a.data(),
-                                                  cached ? nullptr : ptrs_b.data(), n_rows,
+            for (const bool with_ties : {true, false}) {
+                const kernels::TieResolver ties = with_ties ? &pattern_ties : nullptr;
+                const auto expected =
+                    fused_reference(rows_a, rows_b, classes, n_words, ties, nullptr);
+                std::vector<std::uint64_t> actual(n_classes, ~std::uint64_t{0});
+                portable.fused_hamming_scores(ptrs_a.data(), ptrs_b.data(), n_rows,
+                                              class_ptrs.data(), n_classes, n_words, ties,
+                                              nullptr, actual.data());
+                EXPECT_EQ(actual, expected) << "portable rows=" << n_rows << " words=" << n_words
+                                            << " ties=" << with_ties;
+                for (const KernelBackend* backend : simd_backends()) {
+                    std::vector<std::uint64_t> simd(n_classes, ~std::uint64_t{0});
+                    backend->fused_hamming_scores(ptrs_a.data(), ptrs_b.data(), n_rows,
                                                   class_ptrs.data(), n_classes, n_words, ties,
-                                                  nullptr, actual.data());
-                    EXPECT_EQ(actual, expected) << "portable rows=" << n_rows
-                                                << " words=" << n_words << " cached=" << cached
-                                                << " ties=" << with_ties;
-                    for (const KernelBackend* backend : simd_backends()) {
-                        std::vector<std::uint64_t> simd(n_classes, ~std::uint64_t{0});
-                        backend->fused_hamming_scores(ptrs_a.data(),
-                                                      cached ? nullptr : ptrs_b.data(), n_rows,
-                                                      class_ptrs.data(), n_classes, n_words,
-                                                      ties, nullptr, simd.data());
-                        EXPECT_EQ(simd, expected)
-                            << backend->name << " rows=" << n_rows << " words=" << n_words
-                            << " cached=" << cached << " ties=" << with_ties;
-                    }
+                                                  nullptr, simd.data());
+                    EXPECT_EQ(simd, expected) << backend->name << " rows=" << n_rows
+                                              << " words=" << n_words << " ties=" << with_ties;
                 }
             }
         }
@@ -603,11 +564,13 @@ TEST(Kernels, FusedHammingScoresDrawsStatefulTiesIdentically) {
     const std::size_t n_rows = 8;  // even: ~27% tie probability per column
     const std::size_t n_words = 11;
     const std::size_t n_classes = 4;
-    std::vector<std::vector<Word>> rows, classes;
-    std::vector<const Word*> row_ptrs, class_ptrs;
+    std::vector<std::vector<Word>> rows_a, rows_b, classes;
+    std::vector<const Word*> ptrs_a, ptrs_b, class_ptrs;
     for (std::size_t r = 0; r < n_rows; ++r) {
-        rows.push_back(random_words(n_words, rng));
-        row_ptrs.push_back(rows.back().data());
+        rows_a.push_back(random_words(n_words, rng));
+        rows_b.push_back(random_words(n_words, rng));
+        ptrs_a.push_back(rows_a.back().data());
+        ptrs_b.push_back(rows_b.back().data());
     }
     for (std::size_t c = 0; c < n_classes; ++c) {
         classes.push_back(random_words(n_words, rng));
@@ -616,13 +579,13 @@ TEST(Kernels, FusedHammingScoresDrawsStatefulTiesIdentically) {
 
     Xoshiro256ss reference_rng(1234);
     std::vector<std::uint64_t> expected(n_classes, 0);
-    kernels::portable_backend().fused_hamming_scores(row_ptrs.data(), nullptr, n_rows,
+    kernels::portable_backend().fused_hamming_scores(ptrs_a.data(), ptrs_b.data(), n_rows,
                                                      class_ptrs.data(), n_classes, n_words,
                                                      &rng_ties, &reference_rng, expected.data());
     for (const KernelBackend* backend : simd_backends()) {
         Xoshiro256ss backend_rng(1234);
         std::vector<std::uint64_t> actual(n_classes, 0);
-        backend->fused_hamming_scores(row_ptrs.data(), nullptr, n_rows, class_ptrs.data(),
+        backend->fused_hamming_scores(ptrs_a.data(), ptrs_b.data(), n_rows, class_ptrs.data(),
                                       n_classes, n_words, &rng_ties, &backend_rng, actual.data());
         EXPECT_EQ(actual, expected) << backend->name;
     }
@@ -638,10 +601,9 @@ TEST(Kernels, FusedHammingScoresZeroRowsZeroesDistances) {
     EXPECT_EQ(distances[0], 0u);
 }
 
-// One column_counts call over a cached-form table (rows_b == nullptr, the
-// BoundProductCache path) must count exactly like one call per row, on
-// every backend, at odd dimensions (tail words) and after a few single-row
-// calls.
+// One column_counts call over a table of row pairs must count exactly like
+// one call per pair, on every backend, at odd dimensions (tail words) and
+// after a few single-pair calls.
 TEST(Kernels, ColumnCounterAddRowsMatchesSequentialAdds) {
     for (const KernelBackend* backend : all_available()) {
         for (const std::size_t n_bits :
@@ -651,23 +613,26 @@ TEST(Kernels, ColumnCounterAddRowsMatchesSequentialAdds) {
                 Xoshiro256ss rng(500 + n_bits + misalign);
                 const std::size_t n_words = bits::word_count(n_bits);
                 std::vector<std::vector<Word>> rows;
-                std::vector<const Word*> row_ptrs;
-                for (std::size_t r = 0; r < 37; ++r) {
+                for (std::size_t r = 0; r < 2 * 37; ++r) {
                     auto row = random_words(n_words, rng);
                     row.back() &= bits::tail_mask(n_bits);
                     rows.push_back(std::move(row));
                 }
-                for (const auto& row : rows) row_ptrs.push_back(row.data());
+                std::vector<const Word*> ptrs_a, ptrs_b;
+                for (std::size_t r = 0; r < 37; ++r) {
+                    ptrs_a.push_back(rows[2 * r].data());
+                    ptrs_b.push_back(rows[2 * r + 1].data());
+                }
 
                 std::vector<std::int32_t> sequential(n_bits, 0), batched(n_bits, 0);
-                for (const Word* row : row_ptrs) {
-                    backend->column_counts(&row, nullptr, 1, n_bits, sequential.data());
+                for (std::size_t r = 0; r < ptrs_a.size(); ++r) {
+                    backend->column_counts(&ptrs_a[r], &ptrs_b[r], 1, n_bits, sequential.data());
                 }
                 for (std::size_t r = 0; r < misalign; ++r) {
-                    backend->column_counts(&row_ptrs[r], nullptr, 1, n_bits, batched.data());
+                    backend->column_counts(&ptrs_a[r], &ptrs_b[r], 1, n_bits, batched.data());
                 }
-                backend->column_counts(row_ptrs.data() + misalign, nullptr,
-                                       row_ptrs.size() - misalign, n_bits, batched.data());
+                backend->column_counts(ptrs_a.data() + misalign, ptrs_b.data() + misalign,
+                                       ptrs_a.size() - misalign, n_bits, batched.data());
                 EXPECT_EQ(batched, sequential)
                     << backend->name << " D=" << n_bits << " misalign=" << misalign;
             }
