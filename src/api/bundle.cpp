@@ -31,17 +31,13 @@ ValueMapping load_value_mapping(util::BinaryReader& reader) {
     return mapping;
 }
 
-void save_hv_array(util::BinaryWriter& writer, const std::vector<hdc::BinaryHV>& hvs) {
-    writer.write_u64(hvs.size());
-    for (const auto& hv : hvs) hv.save(writer);
-}
-
 std::vector<hdc::BinaryHV> load_hv_array(util::BinaryReader& reader) {
     const std::uint64_t n = reader.read_u64();
     if (n > (1ULL << 24)) throw FormatError("DeploymentBundle: unreasonable hypervector count");
+    // No reserve: the vector grows with the records actually read, never
+    // with what the count claims.
     std::vector<hdc::BinaryHV> hvs;
-    hvs.reserve(static_cast<std::size_t>(n));
-    for (std::uint64_t i = 0; i < n; ++i) hvs.push_back(hdc::BinaryHV::load(reader));
+    for (std::uint64_t i = 0; i < n; ++i) hvs.push_back(hdc::BinaryHV::load_v1(reader));
     return hvs;
 }
 
@@ -62,14 +58,6 @@ DeploymentBundle DeploymentBundle::from_deployment(const Deployment& deployment)
 
 namespace {
 
-/// Shared save() preamble and validation for both format versions.
-std::uint8_t header_flags(const DeploymentBundle& bundle) {
-    std::uint8_t flags = 0;
-    if (bundle.discretizer) flags |= kFlagDiscretizer;
-    if (bundle.model) flags |= kFlagModel;
-    return flags;
-}
-
 void check_saveable(const DeploymentBundle& bundle) {
     HDLOCK_EXPECTS(bundle.store != nullptr, "DeploymentBundle::save: no public store");
     if (bundle.kind == BundleKind::owner) {
@@ -85,57 +73,17 @@ void check_saveable(const DeploymentBundle& bundle) {
 
 }  // namespace
 
-namespace {
-
-/// One body for the aligned-block formats: v3 is v2 plus the epoch word
-/// after the flags byte (every later field sits at a version-independent
-/// offset because epoch goes last in the header).
-void save_aligned(const DeploymentBundle& bundle, util::BinaryWriter& writer,
-                  std::uint32_t version) {
-    check_saveable(bundle);
-    writer.write_tag("HDLK");
-    writer.write_u32(version);
-    writer.write_u8(static_cast<std::uint8_t>(bundle.kind));
-    writer.write_u64(bundle.tie_seed);
-    writer.write_u8(header_flags(bundle));
-    if (version >= 3) writer.write_u64(bundle.epoch);
-
-    bundle.store->save_v2(writer);
-    if (bundle.kind == BundleKind::owner) {
-        writer.write_tag("SECR");
-        bundle.key->save(writer);
-        save_value_mapping(writer, *bundle.value_mapping);
-    } else {
-        // hdlock-lint: device-begin (SEN2 writer: the bytes that ship; the
-        // confinement taint scan proves no secret identifier is in reach)
-        writer.write_tag("SEN2");
-        writer.write_u64(bundle.feature_hvs.size());
-        writer.write_u64(bundle.value_hvs.size());
-        writer.write_u64(bundle.store->dim());
-        hdc::save_hv_block(writer, bundle.feature_hvs, bundle.store->dim());
-        hdc::save_hv_block(writer, bundle.value_hvs, bundle.store->dim());
-        // hdlock-lint: device-end
-    }
-    if (bundle.discretizer) bundle.discretizer->save(writer);
-    if (bundle.model) bundle.model->save_v2(writer);
-    writer.write_tag("HEND");
-}
-
-}  // namespace
-
 void DeploymentBundle::save(util::BinaryWriter& writer) const {
-    save_aligned(*this, writer, kFormatVersion);
-}
-
-void DeploymentBundle::save_v2(util::BinaryWriter& writer) const { save_aligned(*this, writer, 2); }
-
-void DeploymentBundle::save_v1(util::BinaryWriter& writer) const {
     check_saveable(*this);
     writer.write_tag("HDLK");
-    writer.write_u32(1);
+    writer.write_u32(kFormatVersion);
     writer.write_u8(static_cast<std::uint8_t>(kind));
     writer.write_u64(tie_seed);
-    writer.write_u8(header_flags(*this));
+    std::uint8_t flags = 0;
+    if (discretizer) flags |= kFlagDiscretizer;
+    if (model) flags |= kFlagModel;
+    writer.write_u8(flags);
+    writer.write_u64(epoch);
 
     store->save(writer);
     if (kind == BundleKind::owner) {
@@ -143,9 +91,15 @@ void DeploymentBundle::save_v1(util::BinaryWriter& writer) const {
         key->save(writer);
         save_value_mapping(writer, *value_mapping);
     } else {
-        writer.write_tag("SENC");
-        save_hv_array(writer, feature_hvs);
-        save_hv_array(writer, value_hvs);
+        // hdlock-lint: device-begin (SEN2 writer: the bytes that ship; the
+        // confinement taint scan proves no secret identifier is in reach)
+        writer.write_tag("SEN2");
+        writer.write_u64(feature_hvs.size());
+        writer.write_u64(value_hvs.size());
+        writer.write_u64(store->dim());
+        hdc::save_hv_block(writer, feature_hvs, store->dim());
+        hdc::save_hv_block(writer, value_hvs, store->dim());
+        // hdlock-lint: device-end
     }
     if (discretizer) discretizer->save(writer);
     if (model) model->save(writer);
@@ -175,7 +129,7 @@ DeploymentBundle DeploymentBundle::load(util::BinaryReader& reader) {
     }
 
     bundle.store = std::make_shared<const PublicStore>(
-        version >= 2 ? PublicStore::load_v2(reader) : PublicStore::load(reader));
+        version >= 2 ? PublicStore::load(reader) : PublicStore::load_v1(reader));
     if (bundle.kind == BundleKind::owner) {
         reader.expect_tag("SECR");
         bundle.key = LockKey::load(reader);
@@ -245,7 +199,7 @@ DeploymentBundle DeploymentBundle::load(util::BinaryReader& reader) {
     }
     if (flags & kFlagDiscretizer) bundle.discretizer = hdc::MinMaxDiscretizer::load(reader);
     if (flags & kFlagModel) {
-        bundle.model = version >= 2 ? hdc::HdcModel::load_v2(reader) : hdc::HdcModel::load(reader);
+        bundle.model = version >= 2 ? hdc::HdcModel::load(reader) : hdc::HdcModel::load_v1(reader);
     }
     reader.expect_tag("HEND");
 
@@ -308,10 +262,6 @@ DeploymentBundle DeploymentBundle::load_device(const std::filesystem::path& path
     return bundle;
 }
 // hdlock-lint: device-end
-
-DeploymentBundle DeploymentBundle::load_any(const std::filesystem::path& path) {
-    return util::load_file<DeploymentBundle>(path);
-}
 
 DeploymentBundle DeploymentBundle::open_mapped(const std::filesystem::path& path,
                                                util::MappedFile::Advice advice) {

@@ -17,20 +17,21 @@
 /// incapable of leaking the key: the bytes are simply not in the file.
 ///
 /// On-disk layout (util/serialize.hpp primitives, little-endian).  Version 3
-/// is the current write format; version 1 and 2 files still load (their
-/// epoch defaults to 0 — pre-rotation artifacts are epoch zero by
-/// definition).
+/// is the only write format.  Version 1 and 2 layouts are read-only: no
+/// writer for them remains, their epoch defaults to 0 (pre-rotation
+/// artifacts are epoch zero by definition), and the files an old build
+/// wrote are pinned as golden fixtures under tests/api/fixtures/.
 ///
 ///   "HDLK"  u32 version  u8 kind(0=owner,1=device)  u64 tie_seed  u8 flags
 ///   v3+: u64 epoch   (key-rotation generation; see api::Owner::rotate)
-///   v2: "PUB2" store shape + 64-byte-aligned word blocks
-///   v1: "PUBS" PublicStore (per-HV tagged)
+///   v2+: "PUB2" store shape + 64-byte-aligned word blocks
+///   v1:  "PUBS" PublicStore (per-HV tagged)
 ///   owner:  "SECR" LockKey  "VMAP" u32 count, u32 slots...
-///   device v2: "SEN2" u64 n_features, u64 n_levels, u64 dim
-///              + aligned FeaHV word block + aligned ValHV word block
-///   device v1: "SENC" u64 n_features {BinaryHV...} u64 n_levels {BinaryHV...}
+///   device v2+: "SEN2" u64 n_features, u64 n_levels, u64 dim
+///               + aligned FeaHV word block + aligned ValHV word block
+///   device v1:  "SENC" u64 n_features {BinaryHV...} u64 n_levels {BinaryHV...}
 ///   flags bit0: "DSC1" MinMaxDiscretizer        (fitted discretizer)
-///   flags bit1: "MDL2" (v2) / "MDL1" (v1)       (trained model)
+///   flags bit1: "MDL2" (v2+) / "MDL1" (v1)      (trained model)
 ///   "HEND"
 ///
 /// The trailing HEND tag makes truncation detectable even when the optional
@@ -108,16 +109,6 @@ struct DeploymentBundle {
     void save(util::BinaryWriter& writer) const;
     static DeploymentBundle load(util::BinaryReader& reader);
 
-    /// Writes the legacy v1 layout (per-HV tagged sections, no alignment).
-    /// Kept so the v1 backward-compat load path stays covered by tests and
-    /// old tooling can be fed on demand; new artifacts should use save().
-    void save_v1(util::BinaryWriter& writer) const;
-
-    /// Writes the v2 layout (aligned bulk blocks, no epoch field).  Kept so
-    /// the v2 compat path — "old artifact loads as epoch 0" — stays covered
-    /// by tests; new artifacts should use save().
-    void save_v2(util::BinaryWriter& writer) const;
-
     /// Crash-safe persistence (util::atomic_file_write): serialize to a
     /// sibling temp, fsync, rename over `path`, fsync the directory.  A
     /// failure at any step — including the injected short-write / fsync /
@@ -153,9 +144,6 @@ struct DeploymentBundle {
     /// when the file is an owner bundle: device-side code must never even
     /// transit key bytes through its address space.
     static DeploymentBundle load_device(const std::filesystem::path& path);
-
-    /// Loads either variant (owner tooling that inspects artifacts).
-    static DeploymentBundle load_any(const std::filesystem::path& path);
 
     /// The key-free field artifact: public store + materialized encoder
     /// state + whatever discretizer/model this bundle carries.

@@ -151,13 +151,20 @@ void LockKey::save(util::BinaryWriter& writer) const {
 LockKey LockKey::load(util::BinaryReader& reader) {
     reader.expect_tag("LKEY");
     LockKey key;
-    key.n_features_ = static_cast<std::size_t>(reader.read_u64());
-    key.n_layers_ = static_cast<std::size_t>(reader.read_u64());
+    const std::uint64_t n_features = reader.read_u64();
+    const std::uint64_t n_layers = reader.read_u64();
     const std::uint64_t n_entries = reader.read_u64();
+    // Bound both factors before multiplying: an unbounded product wraps,
+    // and a wrapped shape would load a key whose entry table is too short.
+    if (n_features > (1ULL << 24) || n_layers > (1ULL << 24)) {
+        throw FormatError("LockKey::load: unreasonable key shape");
+    }
+    key.n_features_ = static_cast<std::size_t>(n_features);
+    key.n_layers_ = static_cast<std::size_t>(n_layers);
     if (n_entries != key.n_features_ * key.entries_per_feature()) {
         throw FormatError("LockKey::load: entry count does not match shape");
     }
-    key.entries_.reserve(static_cast<std::size_t>(n_entries));
+    // No reserve: the table grows with the entries actually read.
     for (std::uint64_t i = 0; i < n_entries; ++i) {
         SubKeyEntry entry;
         entry.base_index = reader.read_u32();

@@ -45,39 +45,20 @@ const hdc::BinaryHV& PublicStore::value_slot(std::size_t slot) const {
     return value_hvs_[slot];
 }
 
+namespace {
+
+// The caps every store reader applies to its shape before reading a word.
+void check_dim(std::uint64_t dim) {
+    if (dim == 0 || dim > (1ULL << 28)) throw FormatError("PublicStore: unreasonable dimension");
+}
+
+void check_count(std::uint64_t count) {
+    if (count > (1ULL << 24)) throw FormatError("PublicStore: unreasonable hypervector count");
+}
+
+}  // namespace
+
 void PublicStore::save(util::BinaryWriter& writer) const {
-    writer.write_tag("PUBS");
-    writer.write_u64(dim_);
-    writer.write_u64(bases_.size());
-    for (const auto& hv : bases_) hv.save(writer);
-    writer.write_u64(value_hvs_.size());
-    for (const auto& hv : value_hvs_) hv.save(writer);
-}
-
-PublicStore PublicStore::load(util::BinaryReader& reader) {
-    reader.expect_tag("PUBS");
-    PublicStore store;
-    store.dim_ = static_cast<std::size_t>(reader.read_u64());
-    const std::uint64_t n_bases = reader.read_u64();
-    store.bases_.reserve(static_cast<std::size_t>(n_bases));
-    for (std::uint64_t i = 0; i < n_bases; ++i) {
-        store.bases_.push_back(hdc::BinaryHV::load(reader));
-    }
-    const std::uint64_t n_values = reader.read_u64();
-    store.value_hvs_.reserve(static_cast<std::size_t>(n_values));
-    for (std::uint64_t i = 0; i < n_values; ++i) {
-        store.value_hvs_.push_back(hdc::BinaryHV::load(reader));
-    }
-    for (const auto& hv : store.bases_) {
-        if (hv.dim() != store.dim_) throw FormatError("PublicStore::load: dimension mismatch");
-    }
-    for (const auto& hv : store.value_hvs_) {
-        if (hv.dim() != store.dim_) throw FormatError("PublicStore::load: dimension mismatch");
-    }
-    return store;
-}
-
-void PublicStore::save_v2(util::BinaryWriter& writer) const {
     writer.write_tag("PUB2");
     writer.write_u64(dim_);
     writer.write_u64(bases_.size());
@@ -86,20 +67,45 @@ void PublicStore::save_v2(util::BinaryWriter& writer) const {
     hdc::save_hv_block(writer, value_hvs_, dim_);
 }
 
-PublicStore PublicStore::load_v2(util::BinaryReader& reader) {
+PublicStore PublicStore::load(util::BinaryReader& reader) {
     reader.expect_tag("PUB2");
     PublicStore store;
-    store.dim_ = static_cast<std::size_t>(reader.read_u64());
+    const std::uint64_t dim = reader.read_u64();
     const std::uint64_t n_bases = reader.read_u64();
     const std::uint64_t n_values = reader.read_u64();
-    if (store.dim_ == 0 || store.dim_ > (1ULL << 28)) {
-        throw FormatError("PublicStore: unreasonable dimension");
-    }
-    if (n_bases > (1ULL << 24) || n_values > (1ULL << 24)) {
-        throw FormatError("PublicStore: unreasonable hypervector count");
-    }
+    check_dim(dim);
+    check_count(n_bases);
+    check_count(n_values);
+    store.dim_ = static_cast<std::size_t>(dim);
     store.bases_ = hdc::load_hv_block(reader, store.dim_, static_cast<std::size_t>(n_bases));
     store.value_hvs_ = hdc::load_hv_block(reader, store.dim_, static_cast<std::size_t>(n_values));
+    return store;
+}
+
+PublicStore PublicStore::load_v1(util::BinaryReader& reader) {
+    reader.expect_tag("PUBS");
+    PublicStore store;
+    const std::uint64_t dim = reader.read_u64();
+    const std::uint64_t n_bases = reader.read_u64();
+    check_dim(dim);
+    check_count(n_bases);
+    store.dim_ = static_cast<std::size_t>(dim);
+    // No reserve: the vectors grow with the records actually read, never
+    // with what the counts claim.
+    for (std::uint64_t i = 0; i < n_bases; ++i) {
+        store.bases_.push_back(hdc::BinaryHV::load_v1(reader));
+    }
+    const std::uint64_t n_values = reader.read_u64();
+    check_count(n_values);
+    for (std::uint64_t i = 0; i < n_values; ++i) {
+        store.value_hvs_.push_back(hdc::BinaryHV::load_v1(reader));
+    }
+    for (const auto& hv : store.bases_) {
+        if (hv.dim() != store.dim_) throw FormatError("PublicStore::load_v1: dimension mismatch");
+    }
+    for (const auto& hv : store.value_hvs_) {
+        if (hv.dim() != store.dim_) throw FormatError("PublicStore::load_v1: dimension mismatch");
+    }
     return store;
 }
 

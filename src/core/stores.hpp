@@ -68,15 +68,16 @@ public:
     const hdc::BinaryHV& value_slot(std::size_t slot) const;
     const std::vector<hdc::BinaryHV>& value_slots() const noexcept { return value_hvs_; }
 
+    /// The store section of a v2+ `.hdlk` ("PUB2"): shape header + two
+    /// 64-byte-aligned contiguous word blocks.  A mapped load aliases every
+    /// hypervector into the backing buffer (no copy); stream loads copy and
+    /// are byte-wise interchangeable.
     void save(util::BinaryWriter& writer) const;
     static PublicStore load(util::BinaryReader& reader);
 
-    /// `.hdlk` v2 section ("PUB2"): shape header + two 64-byte-aligned
-    /// contiguous word blocks.  A mapped load aliases every hypervector into
-    /// the backing buffer (no copy); stream loads copy and are byte-wise
-    /// interchangeable.
-    void save_v2(util::BinaryWriter& writer) const;
-    static PublicStore load_v2(util::BinaryReader& reader);
+    /// Reads the v1 store section ("PUBS": per-hypervector `BHV1` records).
+    /// Read-only: nothing writes this format any more.
+    static PublicStore load_v1(util::BinaryReader& reader);
 
 private:
     std::size_t dim_ = 0;

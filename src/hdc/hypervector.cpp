@@ -101,21 +101,15 @@ bool BinaryHV::operator==(const BinaryHV& other) const {
     return std::equal(a.begin(), a.end(), b.begin(), b.end());
 }
 
-void BinaryHV::save(util::BinaryWriter& writer) const {
-    writer.write_tag("BHV1");
-    writer.write_u64(dim_);
-    writer.write_span(words());
-}
-
-BinaryHV BinaryHV::load(util::BinaryReader& reader) {
+BinaryHV BinaryHV::load_v1(util::BinaryReader& reader) {
     reader.expect_tag("BHV1");
     const std::uint64_t dim = reader.read_u64();
     auto words = reader.read_vector<Word>();
     if (words.size() != bits::word_count(static_cast<std::size_t>(dim))) {
-        throw FormatError("BinaryHV::load: word count does not match dimension");
+        throw FormatError("BinaryHV::load_v1: word count does not match dimension");
     }
     if (!words.empty() && (words.back() & ~bits::tail_mask(static_cast<std::size_t>(dim))) != 0) {
-        throw FormatError("BinaryHV::load: dirty tail bits");
+        throw FormatError("BinaryHV::load_v1: dirty tail bits");
     }
     BinaryHV hv;
     hv.dim_ = static_cast<std::size_t>(dim);
@@ -288,12 +282,7 @@ bool IntHV::operator==(const IntHV& other) const {
     return std::equal(a.begin(), a.end(), b.begin(), b.end());
 }
 
-void IntHV::save(util::BinaryWriter& writer) const {
-    writer.write_tag("IHV1");
-    writer.write_span(values());
-}
-
-IntHV IntHV::load(util::BinaryReader& reader) {
+IntHV IntHV::load_v1(util::BinaryReader& reader) {
     reader.expect_tag("IHV1");
     return IntHV(reader.read_vector<std::int32_t>());
 }
@@ -330,9 +319,11 @@ std::vector<BinaryHV> load_hv_block(util::BinaryReader& reader, std::size_t dim,
     reader.align_to(kBlockAlignment);
     const std::size_t words_per_hv = bits::word_count(dim);
     std::vector<BinaryHV> hvs;
-    hvs.reserve(count);
+    // Reserve only once the bytes behind `count` are known to exist; the
+    // stream path grows with the records it reads.
     if (reader.mapped()) {
         const std::byte* raw = reader.view_bytes(count * words_per_hv * sizeof(Word));
+        hvs.reserve(count);
         if (can_view<Word>(raw)) {
             const auto* words = reinterpret_cast<const Word*>(raw);
             for (std::size_t i = 0; i < count; ++i) {
@@ -372,9 +363,9 @@ std::vector<IntHV> load_int_hv_block(util::BinaryReader& reader, std::size_t dim
                                      std::size_t count) {
     reader.align_to(kBlockAlignment);
     std::vector<IntHV> hvs;
-    hvs.reserve(count);
     if (reader.mapped()) {
         const std::byte* raw = reader.view_bytes(count * dim * sizeof(std::int32_t));
+        hvs.reserve(count);
         if (can_view<std::int32_t>(raw)) {
             const auto* values = reinterpret_cast<const std::int32_t*>(raw);
             for (std::size_t i = 0; i < count; ++i) {

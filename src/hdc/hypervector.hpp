@@ -106,8 +106,10 @@ public:
     /// Content equality: a view compares equal to an owning copy.
     bool operator==(const BinaryHV& other) const;
 
-    void save(util::BinaryWriter& writer) const;
-    static BinaryHV load(util::BinaryReader& reader);
+    /// Reads one v1 `BHV1` record (u64 dim + word vector).  Such records
+    /// exist only inside v1 `.hdlk` sections, which nothing writes any more;
+    /// the v2+ formats store hypervectors in aligned blocks (below).
+    static BinaryHV load_v1(util::BinaryReader& reader);
 
 private:
     std::size_t dim_ = 0;
@@ -200,8 +202,9 @@ public:
     /// Content equality: a view compares equal to an owning copy.
     bool operator==(const IntHV& other) const;
 
-    void save(util::BinaryWriter& writer) const;
-    static IntHV load(util::BinaryReader& reader);
+    /// Reads one v1 `IHV1` record (an int32 vector); like BinaryHV::load_v1,
+    /// read-only.
+    static IntHV load_v1(util::BinaryReader& reader);
 
 private:
     std::vector<std::int32_t> values_;

@@ -84,36 +84,4 @@ ItemMemory ItemMemory::from_hypervectors(std::vector<BinaryHV> feature_hvs,
     return memory;
 }
 
-void ItemMemory::save(util::BinaryWriter& writer) const {
-    writer.write_tag("ITM1");
-    writer.write_u64(dim_);
-    writer.write_u64(feature_hvs_.size());
-    for (const auto& hv : feature_hvs_) hv.save(writer);
-    writer.write_u64(value_hvs_.size());
-    for (const auto& hv : value_hvs_) hv.save(writer);
-}
-
-ItemMemory ItemMemory::load(util::BinaryReader& reader) {
-    reader.expect_tag("ITM1");
-    ItemMemory memory;
-    memory.dim_ = static_cast<std::size_t>(reader.read_u64());
-    const std::uint64_t n_features = reader.read_u64();
-    memory.feature_hvs_.reserve(static_cast<std::size_t>(n_features));
-    for (std::uint64_t i = 0; i < n_features; ++i) {
-        memory.feature_hvs_.push_back(BinaryHV::load(reader));
-    }
-    const std::uint64_t n_levels = reader.read_u64();
-    memory.value_hvs_.reserve(static_cast<std::size_t>(n_levels));
-    for (std::uint64_t i = 0; i < n_levels; ++i) {
-        memory.value_hvs_.push_back(BinaryHV::load(reader));
-    }
-    for (const auto& hv : memory.feature_hvs_) {
-        if (hv.dim() != memory.dim_) throw FormatError("ItemMemory::load: dimension mismatch");
-    }
-    for (const auto& hv : memory.value_hvs_) {
-        if (hv.dim() != memory.dim_) throw FormatError("ItemMemory::load: dimension mismatch");
-    }
-    return memory;
-}
-
 }  // namespace hdlock::hdc

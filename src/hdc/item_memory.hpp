@@ -53,9 +53,6 @@ public:
     static ItemMemory from_hypervectors(std::vector<BinaryHV> feature_hvs,
                                         std::vector<BinaryHV> value_hvs);
 
-    void save(util::BinaryWriter& writer) const;
-    static ItemMemory load(util::BinaryReader& reader);
-
 private:
     std::size_t dim_ = 0;
     std::vector<BinaryHV> feature_hvs_;

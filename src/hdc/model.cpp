@@ -195,42 +195,6 @@ double HdcModel::evaluate(const EncodedBatch& batch) const {
 }
 
 void HdcModel::save(util::BinaryWriter& writer) const {
-    writer.write_tag("MDL1");
-    writer.write_u8(static_cast<std::uint8_t>(kind_));
-    writer.write_i32(epochs_run_);
-    writer.write_u64(class_sums_.size());
-    for (const auto& sum : class_sums_) sum.save(writer);
-    writer.write_u64(class_binary_.size());
-    for (const auto& hv : class_binary_) hv.save(writer);
-}
-
-HdcModel HdcModel::load(util::BinaryReader& reader) {
-    reader.expect_tag("MDL1");
-    HdcModel model;
-    const auto kind = reader.read_u8();
-    if (kind > 1) throw FormatError("HdcModel::load: bad model kind");
-    model.kind_ = static_cast<ModelKind>(kind);
-    model.epochs_run_ = reader.read_i32();
-    const std::uint64_t n_sums = reader.read_u64();
-    for (std::uint64_t i = 0; i < n_sums; ++i) model.class_sums_.push_back(IntHV::load(reader));
-    const std::uint64_t n_bin = reader.read_u64();
-    for (std::uint64_t i = 0; i < n_bin; ++i) model.class_binary_.push_back(BinaryHV::load(reader));
-    if (model.kind_ == ModelKind::binary && model.class_binary_.size() != model.class_sums_.size()) {
-        throw FormatError("HdcModel::load: binary model missing binarized class HVs");
-    }
-    // v1 stores a dimension per class HV; scoring reads dim() elements of
-    // every class through raw pointers, so they must all agree (v2 stores
-    // one shared dimension).
-    const auto other_dim = [&model](const auto& hv) { return hv.dim() != model.dim(); };
-    if (std::any_of(model.class_sums_.begin(), model.class_sums_.end(), other_dim) ||
-        std::any_of(model.class_binary_.begin(), model.class_binary_.end(), other_dim)) {
-        throw FormatError("HdcModel::load: class hypervectors differ in dimension");
-    }
-    model.recompute_norms_();
-    return model;
-}
-
-void HdcModel::save_v2(util::BinaryWriter& writer) const {
     writer.write_tag("MDL2");
     writer.write_u8(static_cast<std::uint8_t>(kind_));
     writer.write_i32(epochs_run_);
@@ -241,7 +205,7 @@ void HdcModel::save_v2(util::BinaryWriter& writer) const {
     if (!class_binary_.empty()) save_hv_block(writer, class_binary_, dim());
 }
 
-HdcModel HdcModel::load_v2(util::BinaryReader& reader) {
+HdcModel HdcModel::load(util::BinaryReader& reader) {
     reader.expect_tag("MDL2");
     HdcModel model;
     const auto kind = reader.read_u8();
@@ -264,6 +228,36 @@ HdcModel HdcModel::load_v2(util::BinaryReader& reader) {
     if (has_binary != 0) {
         model.class_binary_ = load_hv_block(reader, static_cast<std::size_t>(dim),
                                             static_cast<std::size_t>(n_classes));
+    }
+    model.recompute_norms_();
+    return model;
+}
+
+HdcModel HdcModel::load_v1(util::BinaryReader& reader) {
+    reader.expect_tag("MDL1");
+    HdcModel model;
+    const auto kind = reader.read_u8();
+    if (kind > 1) throw FormatError("HdcModel::load_v1: bad model kind");
+    model.kind_ = static_cast<ModelKind>(kind);
+    model.epochs_run_ = reader.read_i32();
+    const std::uint64_t n_sums = reader.read_u64();
+    for (std::uint64_t i = 0; i < n_sums; ++i) {
+        model.class_sums_.push_back(IntHV::load_v1(reader));
+    }
+    const std::uint64_t n_bin = reader.read_u64();
+    for (std::uint64_t i = 0; i < n_bin; ++i) {
+        model.class_binary_.push_back(BinaryHV::load_v1(reader));
+    }
+    if (model.kind_ == ModelKind::binary && model.class_binary_.size() != model.class_sums_.size()) {
+        throw FormatError("HdcModel::load_v1: binary model missing binarized class HVs");
+    }
+    // v1 stores a dimension per class HV; scoring reads dim() elements of
+    // every class through raw pointers, so they must all agree (v2 stores
+    // one shared dimension).
+    const auto other_dim = [&model](const auto& hv) { return hv.dim() != model.dim(); };
+    if (std::any_of(model.class_sums_.begin(), model.class_sums_.end(), other_dim) ||
+        std::any_of(model.class_binary_.begin(), model.class_binary_.end(), other_dim)) {
+        throw FormatError("HdcModel::load_v1: class hypervectors differ in dimension");
     }
     model.recompute_norms_();
     return model;

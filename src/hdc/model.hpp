@@ -103,16 +103,17 @@ public:
     /// Number of retraining epochs actually executed (early stop included).
     int epochs_run() const noexcept { return epochs_run_; }
 
+    /// The model section of a v2+ `.hdlk` ("MDL2"): shape header +
+    /// 64-byte-aligned raw class-HV blocks.  A mapped load aliases the class
+    /// sums (and the binarized class HVs) into the backing buffer; only the
+    /// per-class norms are recomputed (one read pass, no copy).  Mutating a
+    /// mapped model (e.g. retraining) detaches copy-on-write per class HV.
     void save(util::BinaryWriter& writer) const;
     static HdcModel load(util::BinaryReader& reader);
 
-    /// `.hdlk` v2 section ("MDL2"): shape header + 64-byte-aligned raw
-    /// class-HV blocks.  A mapped load aliases the class sums (and the
-    /// binarized class HVs) into the backing buffer; only the per-class
-    /// norms are recomputed (one read pass, no copy).  Mutating a mapped
-    /// model (e.g. retraining) detaches copy-on-write per class HV.
-    void save_v2(util::BinaryWriter& writer) const;
-    static HdcModel load_v2(util::BinaryReader& reader);
+    /// Reads the v1 model section ("MDL1": per-class `IHV1`/`BHV1`
+    /// records).  Read-only: nothing writes this format any more.
+    static HdcModel load_v1(util::BinaryReader& reader);
 
     /// Pins external storage the class HVs may alias (a mapped `.hdlk`'s
     /// bytes).  Copies of the model share the pin, so a serving session

@@ -85,7 +85,8 @@ void BinaryReader::read_bytes(std::span<std::byte> bytes) {
         if (bytes.size() > data_.size() - offset_) {
             throw FormatError("BinaryReader: unexpected end of buffer");
         }
-        std::memcpy(bytes.data(), data_.data() + offset_, bytes.size());
+        // An empty span may carry a null pointer, which memcpy must not get.
+        if (!bytes.empty()) std::memcpy(bytes.data(), data_.data() + offset_, bytes.size());
     }
     offset_ += bytes.size();
 }

@@ -8,6 +8,7 @@
 /// checked.  Objects implement `void save(BinaryWriter&) const` and
 /// `static T load(BinaryReader&)`; save_file()/load_file() wrap streams.
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <filesystem>
@@ -103,8 +104,16 @@ public:
             throw FormatError("serialized vector length " + std::to_string(n) +
                               " exceeds limit " + std::to_string(max_elements));
         }
-        std::vector<T> values(static_cast<std::size_t>(n));
-        read_bytes(std::as_writable_bytes(std::span<T>(values)));
+        // Allocate for bytes that are present, not for the claimed length:
+        // fill bounded chunks until the count or the end of the input (a
+        // FormatError from read_bytes) ends it.
+        std::vector<T> values;
+        constexpr std::uint64_t kChunk = std::max<std::size_t>(1, (1u << 16) / sizeof(T));
+        while (values.size() < n) {
+            const std::size_t filled = values.size();
+            values.resize(filled + static_cast<std::size_t>(std::min(n - filled, kChunk)));
+            read_bytes(std::as_writable_bytes(std::span<T>(values).subspan(filled)));
+        }
         return values;
     }
 
@@ -145,12 +154,5 @@ T load_file(const std::filesystem::path& path) {
 /// bundle.save_atomic.{short_write,fsync,rename}.
 void atomic_file_write(const std::filesystem::path& path,
                        const std::function<void(BinaryWriter&)>& write_fn);
-
-/// atomic_file_write over the save(BinaryWriter&) convention, i.e. the
-/// crash-safe sibling of save_file().
-template <typename T>
-void save_file_atomic(const T& object, const std::filesystem::path& path) {
-    atomic_file_write(path, [&object](BinaryWriter& writer) { object.save(writer); });
-}
 
 }  // namespace hdlock::util

@@ -1,6 +1,7 @@
 // Fuzz-style robustness tests for the `.hdlk` loader (src/api/bundle.*):
 // systematic truncation sweeps and header/byte corruption over both bundle
-// kinds and both reader transports (stream and span/mmap).  The contract
+// kinds, every format version (a fresh v3 pair plus the golden v1-v3
+// fixtures) and both reader transports (stream and span/mmap).  The contract
 // under attack: a hostile or damaged artifact may only ever produce a typed
 // hdlock::Error (FormatError for malformed bytes) — never a crash, an OOB
 // read, an unbounded allocation, or a silently wrong bundle.
@@ -10,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <cstdint>
 #include <cstring>
 #include <span>
 #include <sstream>
@@ -18,6 +20,7 @@
 
 #include "api/facades.hpp"
 #include "data/synthetic.hpp"
+#include "golden_bundles.hpp"
 #include "util/error.hpp"
 
 namespace {
@@ -79,11 +82,26 @@ LoadOutcome try_load_span(const std::string& bytes) {
     }
 }
 
-/// The two serialized corpora every sweep runs against.
+/// The serialized corpora every sweep runs against: a fresh owner/device
+/// pair from today's writer, then the six golden fixtures (v1-v3).
 std::vector<std::pair<std::string, std::string>> corpora() {
     const api::Owner owner = trained_owner();
-    return {{"owner", serialize(owner.to_bundle())},
-            {"device", serialize(owner.to_device_bundle())}};
+    std::vector<std::pair<std::string, std::string>> out = {
+        {"owner", serialize(owner.to_bundle())}, {"device", serialize(owner.to_device_bundle())}};
+    for (const std::string fixture : golden::kBundles) {
+        out.emplace_back(fixture, golden::bytes(fixture));
+    }
+    return out;
+}
+
+std::uint64_t u64_at(const std::string& bytes, std::size_t offset) {
+    std::uint64_t value = 0;
+    std::memcpy(&value, bytes.data() + offset, sizeof(value));
+    return value;
+}
+
+void set_u64(std::string& bytes, std::size_t offset, std::uint64_t value) {
+    std::memcpy(bytes.data() + offset, &value, sizeof(value));
 }
 
 TEST(BundleFuzz, EveryTruncationRaisesATypedError) {
@@ -145,19 +163,90 @@ TEST(BundleFuzz, HeaderByteFlipsNeverEscapeTheTypedErrorContract) {
 TEST(BundleFuzz, OversizedCountsAreRejectedNotAllocated) {
     // Hand-build a header whose section count field claims 2^60 entries: the
     // loader must reject it as FormatError without attempting the
-    // allocation.  (The count caps in bundle.cpp / serialize.hpp are the
-    // fix this test pins.)
+    // allocation.  (The count caps in the section loaders and
+    // BinaryReader::read_vector are the fix this test pins.)
     const auto corpus = corpora();
     const auto& [kind, bytes] = corpus.front();
     for (const std::size_t offset : {std::size_t{9}, std::size_t{17}, std::size_t{25}}) {
         std::string mutated = bytes;
         if (mutated.size() < offset + 8) continue;
-        const std::uint64_t absurd = 1ULL << 60;
-        std::memcpy(mutated.data() + offset, &absurd, sizeof(absurd));
+        set_u64(mutated, offset, 1ULL << 60);
         const LoadOutcome outcome = try_load_stream(mutated);
         EXPECT_NE(outcome, LoadOutcome::wrong_exception)
             << kind << ": u64 at offset " << offset << " set to 2^60";
     }
+
+    // The count fields the loaders size allocations from, found by their
+    // section tags in the golden fixtures (the assertions pin each offset
+    // to the field's known value).  A claim must fail as a typed error on
+    // both transports whether it is absurd (2^60), larger than the file
+    // (2^30) or just under the loaders' 2^24 cap.
+    struct Site {
+        std::string fixture;
+        std::string field;
+        std::size_t offset;
+    };
+    std::vector<Site> sites;
+    constexpr std::size_t kV1Record = 4 + 8 + 8 + 4 * 8;  // "BHV1", dim, count, 4 words
+    for (const std::string fixture : {"v1/owner.hdlk", "v1/device.hdlk"}) {
+        const std::string fixture_bytes = golden::bytes(fixture);
+        const std::size_t bases = fixture_bytes.find("PUBS") + 4 + 8;  // past the dim
+        ASSERT_EQ(u64_at(fixture_bytes, bases), 16u) << fixture;
+        const std::size_t values = bases + 8 + 16 * kV1Record;
+        ASSERT_EQ(u64_at(fixture_bytes, values), 4u) << fixture;
+        sites.push_back({fixture, "PUBS base count", bases});
+        sites.push_back({fixture, "PUBS value count", values});
+    }
+    for (const std::string fixture : {"v1/owner.hdlk", "v2/owner.hdlk", "v3/owner.hdlk"}) {
+        const std::string fixture_bytes = golden::bytes(fixture);
+        const std::size_t n_features = fixture_bytes.find("LKEY") + 4;
+        ASSERT_EQ(u64_at(fixture_bytes, n_features), 16u) << fixture;
+        sites.push_back({fixture, "LKEY n_features", n_features});
+    }
+    for (const std::string fixture :
+         {"v2/owner.hdlk", "v2/device.hdlk", "v3/owner.hdlk", "v3/device.hdlk"}) {
+        const std::string fixture_bytes = golden::bytes(fixture);
+        const std::size_t bases = fixture_bytes.find("PUB2") + 4 + 8;  // past the dim
+        ASSERT_EQ(u64_at(fixture_bytes, bases), 16u) << fixture;
+        sites.push_back({fixture, "PUB2 base count", bases});
+    }
+    for (const std::string fixture : {"v2/device.hdlk", "v3/device.hdlk"}) {
+        const std::string fixture_bytes = golden::bytes(fixture);
+        const std::size_t n_features = fixture_bytes.find("SEN2") + 4;
+        ASSERT_EQ(u64_at(fixture_bytes, n_features), 16u) << fixture;
+        sites.push_back({fixture, "SEN2 feature count", n_features});
+    }
+    for (const std::string fixture : {"v3/owner.hdlk", "v3/device.hdlk"}) {
+        // "DSC1", u64 n_levels, u8 mode, then the min vector's length.
+        const std::string fixture_bytes = golden::bytes(fixture);
+        const std::size_t mins = fixture_bytes.find("DSC1") + 4 + 8 + 1;
+        ASSERT_EQ(u64_at(fixture_bytes, mins), 1u) << fixture;  // one global range
+        sites.push_back({fixture, "DSC1 min length", mins});
+    }
+    for (const auto& site : sites) {
+        for (const std::uint64_t claim : {1ULL << 60, 1ULL << 30, (1ULL << 24) - 1}) {
+            std::string mutated = golden::bytes(site.fixture);
+            set_u64(mutated, site.offset, claim);
+            EXPECT_EQ(try_load_stream(mutated), LoadOutcome::typed_error)
+                << site.fixture << ": " << site.field << " = " << claim << " (stream)";
+            EXPECT_EQ(try_load_span(mutated), LoadOutcome::typed_error)
+                << site.fixture << ": " << site.field << " = " << claim << " (span)";
+        }
+    }
+
+    // A key shape whose entry count wraps: 2^63 features x 2 layers = 0
+    // entries, with the 16 x 2 entries cut out so the section parses.  It
+    // must not load as a key with an empty entry table.
+    std::string wrapped = golden::bytes("v3/owner.hdlk");
+    const std::size_t key_shape = wrapped.find("LKEY") + 4;
+    ASSERT_EQ(u64_at(wrapped, key_shape + 8), 2u);  // n_layers
+    ASSERT_EQ(u64_at(wrapped, key_shape + 16), 32u);  // n_entries
+    set_u64(wrapped, key_shape, 1ULL << 63);
+    set_u64(wrapped, key_shape + 16, 0);
+    wrapped.erase(key_shape + 24, 32 * 8);
+    ASSERT_EQ(wrapped.substr(key_shape + 24, 4), "VMAP");
+    EXPECT_EQ(try_load_stream(wrapped), LoadOutcome::typed_error);
+    EXPECT_EQ(try_load_span(wrapped), LoadOutcome::typed_error);
 }
 
 TEST(BundleFuzz, AbsurdVersionIsNamedInTheError) {

@@ -15,6 +15,7 @@
 
 #include "api/facades.hpp"
 #include "data/synthetic.hpp"
+#include "golden_bundles.hpp"
 
 namespace {
 
@@ -200,16 +201,26 @@ TEST(DeploymentBundle, RejectsDeviceStateInconsistentWithStore) {
         EXPECT_THROW(serialize(device), ContractViolation);
     }
     {
-        // Same mismatch through the legacy v1 writer: v1 can serialize it,
-        // so the v1 *load* path must keep naming the bad hypervector.
-        auto device = owner.export_device();
-        hdlock::util::Xoshiro256ss rng(100);
-        device.value_hvs[0] = hdc::BinaryHV::random(128, rng);
-        std::ostringstream out(std::ios::binary);
-        util::BinaryWriter writer(out);
-        device.save_v1(writer);
+        // v1 stores a dimension per hypervector, so a v1 file can carry the
+        // mismatch the current writer refuses: patch the golden v1 device
+        // bundle's first value record from dim 200 to 256.  The word count
+        // (4) fits both, so the record parses and the v1 load path must name
+        // the bad hypervector.
+        std::string bytes = golden::bytes("v1/device.hdlk");
+        constexpr std::size_t kRecord = 4 + 8 + 8 + 4 * 8;  // "BHV1", dim, count, words
+        std::size_t at = bytes.find("SENC");
+        ASSERT_NE(at, std::string::npos);
+        std::uint64_t n_features = 0;
+        std::memcpy(&n_features, bytes.data() + at + 4, sizeof(n_features));
+        at += 4 + 8 + n_features * kRecord + 8;  // past the features and the level count
+        ASSERT_EQ(bytes.substr(at, 4), "BHV1");
+        std::uint64_t dim = 0;
+        std::memcpy(&dim, bytes.data() + at + 4, sizeof(dim));
+        ASSERT_EQ(dim, 200u);
+        dim = 256;
+        std::memcpy(bytes.data() + at + 4, &dim, sizeof(dim));
         try {
-            deserialize(out.str());
+            deserialize(bytes);
             FAIL() << "expected FormatError";
         } catch (const FormatError& error) {
             EXPECT_NE(std::string(error.what()).find("value hypervector 0"), std::string::npos)
@@ -260,7 +271,8 @@ TEST(DeploymentBundle, SerializedBytesMatchesFileSize) {
 }
 
 // ---------------------------------------------------------------------------
-// `.hdlk` v2: alignment, the mapped zero-copy load, and v1 compatibility.
+// `.hdlk` v2+: alignment and the mapped zero-copy load (v1 and v2
+// compatibility: bundle_fixture_test.cc).
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -284,30 +296,6 @@ TEST(DeploymentBundleV2, WritesVersion3WithAlignedSections) {
     EXPECT_NE(find_tag(bytes, "SEN2"), std::string::npos);
     EXPECT_NE(find_tag(bytes, "MDL2"), std::string::npos);
     EXPECT_EQ(find_tag(bytes, "PUBS"), std::string::npos);
-}
-
-TEST(DeploymentBundleV2, LegacyV1ArtifactStillLoads) {
-    const auto owner = trained_owner_bundle();
-    const auto device = owner.export_device();
-
-    for (const auto* bundle : {&owner, &device}) {
-        std::ostringstream out(std::ios::binary);
-        util::BinaryWriter writer(out);
-        bundle->save_v1(writer);
-        const auto restored = deserialize(out.str());
-        EXPECT_EQ(restored.kind, bundle->kind);
-        EXPECT_EQ(restored.tie_seed, bundle->tie_seed);
-        ASSERT_TRUE(restored.has_model());
-        // v1 and v2 restores describe the same encoder bit for bit.
-        const auto v1_encoder = restored.make_encoder();
-        const auto v2_encoder = deserialize(serialize(*bundle)).make_encoder();
-        util::Xoshiro256ss rng(77);
-        for (int trial = 0; trial < 4; ++trial) {
-            std::vector<int> levels(16);
-            for (auto& level : levels) level = static_cast<int>(rng.next_below(4));
-            EXPECT_EQ(v1_encoder->encode(levels), v2_encoder->encode(levels));
-        }
-    }
 }
 
 TEST(DeploymentBundleV2, OpenMappedAliasesTheMappingInsteadOfCopying) {

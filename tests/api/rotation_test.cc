@@ -15,6 +15,7 @@
 #include "api/inference_session.hpp"
 #include "api/shard_router.hpp"
 #include "data/synthetic.hpp"
+#include "golden_bundles.hpp"
 #include "util/error.hpp"
 #include "util/fault_inject.hpp"
 
@@ -117,20 +118,14 @@ TEST_F(Rotation, EpochRoundTripsThroughV3AndDefaultsToZeroForV2) {
     EXPECT_EQ(api::Device::load(device_path).epoch(), 1u);
     EXPECT_EQ(api::Device::open_mapped(device_path).epoch(), 1u);
 
-    // A v2 writer cannot represent the epoch: the compat path loads it as
+    // The v2 layout has no epoch field: the golden v2 owner bundle loads as
     // epoch 0 (pre-rotation artifacts are generation zero by definition).
-    const auto v2_path = temp_path("hdlock_rotation_owner_v2.hdlk");
-    {
-        std::ofstream out(v2_path, std::ios::binary);
-        util::BinaryWriter writer(out);
-        owner.to_bundle().save_v2(writer);
-    }
-    EXPECT_EQ(api::DeploymentBundle::load_any(v2_path).epoch, 0u);
+    const auto v2_path = golden::path("v2/owner.hdlk");
+    EXPECT_EQ(api::DeploymentBundle::open_mapped(v2_path).epoch, 0u);
     EXPECT_EQ(api::Owner::load(v2_path).epoch(), 0u);
 
     std::filesystem::remove(owner_path);
     std::filesystem::remove(device_path);
-    std::filesystem::remove(v2_path);
 }
 
 TEST_F(Rotation, ResponsesCarryTheSessionEpoch) {

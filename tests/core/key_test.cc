@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <set>
 #include <sstream>
 #include <type_traits>
@@ -143,18 +144,30 @@ TEST(LockKey, PlainSerializationRoundTrip) {
 }
 
 TEST(LockKey, LoadRejectsInconsistentShape) {
-    std::stringstream stream;
-    hdlock::util::BinaryWriter writer(stream);
-    writer.write_tag("LKEY");
-    writer.write_u64(4);  // n_features
-    writer.write_u64(2);  // n_layers -> expects 8 entries
-    writer.write_u64(3);  // but only 3 claimed
-    for (int i = 0; i < 3; ++i) {
-        writer.write_u32(0);
-        writer.write_u32(0);
-    }
-    hdlock::util::BinaryReader reader(stream);
-    EXPECT_THROW(LockKey::load(reader), FormatError);
+    const auto load = [](std::uint64_t n_features, std::uint64_t n_layers,
+                         std::uint64_t n_entries, int entries_present) {
+        std::stringstream stream;
+        hdlock::util::BinaryWriter writer(stream);
+        writer.write_tag("LKEY");
+        writer.write_u64(n_features);
+        writer.write_u64(n_layers);
+        writer.write_u64(n_entries);
+        for (int i = 0; i < entries_present; ++i) {
+            writer.write_u32(0);
+            writer.write_u32(0);
+        }
+        hdlock::util::BinaryReader reader(stream);
+        return LockKey::load(reader);
+    };
+    // 4 features x 2 layers expects 8 entries, but only 3 are claimed.
+    EXPECT_THROW(load(4, 2, 3, 3), FormatError);
+    // 2^63 x 2 wraps to 0 entries: must not load as a key with an empty
+    // entry table (sub_key(0) would then read past it).
+    EXPECT_THROW(load(1ULL << 63, 2, 0, 0), FormatError);
+    // A self-consistent but absurd shape must be refused before anything
+    // is allocated for it.
+    EXPECT_THROW(load(1ULL << 32, 2, 1ULL << 33, 1), FormatError);
+    EXPECT_NO_THROW(load(4, 2, 8, 8));
 }
 
 // ---------------------------------------------------------------------------

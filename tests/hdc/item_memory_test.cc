@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <sstream>
 
 using hdlock::ContractViolation;
 using hdlock::hdc::BinaryHV;
@@ -147,18 +146,4 @@ TEST(ItemMemory, FromHypervectorsValidatesDimensions) {
     std::vector<BinaryHV> bad = {BinaryHV::random(32, rng)};
     EXPECT_THROW(ItemMemory::from_hypervectors(bad, values), ContractViolation);
     EXPECT_THROW(ItemMemory::from_hypervectors(features, {}), ContractViolation);
-}
-
-TEST(ItemMemory, SerializationRoundTrip) {
-    const auto memory = small_memory();
-    std::stringstream stream;
-    hdlock::util::BinaryWriter writer(stream);
-    memory.save(writer);
-    hdlock::util::BinaryReader reader(stream);
-    const auto loaded = ItemMemory::load(reader);
-    EXPECT_EQ(loaded.dim(), memory.dim());
-    EXPECT_EQ(loaded.n_features(), memory.n_features());
-    EXPECT_EQ(loaded.n_levels(), memory.n_levels());
-    EXPECT_EQ(loaded.feature_hv(31), memory.feature_hv(31));
-    EXPECT_EQ(loaded.value_hv(7), memory.value_hv(7));
 }

@@ -4,7 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
 #include <sstream>
+#include <vector>
 
 #include "hdc/encoder.hpp"
 #include "util/kernels.hpp"
@@ -271,17 +273,24 @@ TEST(HdcModel, LoadRejectsClassHypervectorsOfDifferentDimensions) {
         writer.write_i32(0);
         writer.write_u64(3);
         for (const std::size_t dim : {std::size_t{64}, std::size_t{64}, last_sum_dim}) {
-            IntHV(dim).save(writer);
+            // An all-zero IHV1 record: tag + int32 vector.
+            writer.write_tag("IHV1");
+            const std::vector<std::int32_t> values(dim, 0);
+            writer.write_span(std::span<const std::int32_t>(values));
         }
         const bool binary = kind == ModelKind::binary;
         writer.write_u64(binary ? 3 : 0);
         if (binary) {
             for (const std::size_t dim : {std::size_t{64}, std::size_t{64}, last_binary_dim}) {
-                BinaryHV(dim).save(writer);
+                // An all-zero BHV1 record: tag + dim + word vector.
+                writer.write_tag("BHV1");
+                writer.write_u64(dim);
+                const std::vector<std::uint64_t> words((dim + 63) / 64, 0);
+                writer.write_span(std::span<const std::uint64_t>(words));
             }
         }
         hdlock::util::BinaryReader reader(stream);
-        return HdcModel::load(reader);
+        return HdcModel::load_v1(reader);
     };
     EXPECT_NO_THROW(load_v1(ModelKind::non_binary, 64, 64));
     EXPECT_NO_THROW(load_v1(ModelKind::binary, 64, 64));

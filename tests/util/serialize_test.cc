@@ -6,7 +6,9 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <span>
 #include <sstream>
+#include <string>
 
 using hdlock::FormatError;
 using hdlock::IoError;
@@ -82,6 +84,20 @@ TEST(Serialize, VectorLengthLimitEnforced) {
     writer.write_u64(1000);  // claimed length with no payload
     BinaryReader reader(stream);
     EXPECT_THROW(reader.read_vector<std::uint64_t>(10), FormatError);
+
+    // A length under the limit but past the data: 2^32 - 1 words claimed,
+    // 8 bytes present.  Both transports must fail on the missing bytes, not
+    // allocate and zero the 32 GiB the claim asks for.
+    std::stringstream claim;
+    BinaryWriter claim_writer(claim);
+    claim_writer.write_u64((1ULL << 32) - 1);
+    claim_writer.write_u64(0x1234);
+    const std::string bytes = claim.str();
+    std::istringstream in(bytes, std::ios::binary);
+    BinaryReader stream_reader(in);
+    EXPECT_THROW(stream_reader.read_vector<std::uint64_t>(), FormatError);
+    BinaryReader span_reader(std::as_bytes(std::span<const char>(bytes)));
+    EXPECT_THROW(span_reader.read_vector<std::uint64_t>(), FormatError);
 }
 
 namespace {
