@@ -189,8 +189,8 @@ void BM_EncodeBatch(benchmark::State& state) {
 }
 BENCHMARK(BM_EncodeBatch)->Arg(64)->Arg(256)->Arg(784);
 
-/// Eq. 9 product cost per feature as the key deepens (bench_fig9's software
-/// cross-check, isolated).
+/// Eq. 9 product cost per feature as the key deepens (the software
+/// cross-check of the fig9 scenario's cycle model, isolated).
 void BM_MaterializeFeature(benchmark::State& state) {
     const auto n_layers = static_cast<std::size_t>(state.range(0));
     PublicStoreConfig config;

@@ -23,7 +23,7 @@
 /// wrote are pinned as golden fixtures under tests/api/fixtures/.
 ///
 ///   "HDLK"  u32 version  u8 kind(0=owner,1=device)  u64 tie_seed  u8 flags
-///   v3+: u64 epoch   (key-rotation generation; see api::Owner::rotate)
+///   v3+: u64 epoch   (key rotation generation; see api::Owner::rotate)
 ///   v2+: "PUB2" store shape + 64-byte-aligned word blocks
 ///   v1:  "PUBS" PublicStore (per-HV tagged)
 ///   owner:  "SECR" LockKey  "VMAP" u32 count, u32 slots...

@@ -44,7 +44,7 @@ struct TrainOptions {
     std::uint64_t seed = 1;
 };
 
-/// Knobs for Owner::rotate — the full key-rotation pipeline (rotate_key()
+/// Knobs for Owner::rotate — the full key rotation pipeline (rotate_key()
 /// underneath is the key-only primitive).
 struct RotateOptions {
     /// Seed for the fresh sub-keys (core/key_tools.hpp rekey).

@@ -385,9 +385,9 @@ InferenceSession::InferenceSession(std::shared_ptr<const hdc::Encoder> encoder,
       adaptive_queue_delay_(options.adaptive_queue_delay),
       runtime_(std::make_unique<Runtime>()) {
     n_threads_ = options.n_threads != 0 ? options.n_threads : util::hardware_concurrency();
-    serving_.store(build_serving_state_(options.epoch, std::move(encoder),
-                                        std::move(discretizer), std::move(model), nullptr),
-                   std::memory_order_release);
+    install_serving_state_(build_serving_state_(options.epoch, std::move(encoder),
+                                                std::move(discretizer), std::move(model),
+                                                nullptr));
     if (n_threads_ > 1) {
         runtime_->pool = std::make_unique<util::ThreadPool>(n_threads_);
         runtime_->slots.reserve(n_threads_);
@@ -404,7 +404,7 @@ InferenceSession::InferenceSession(InferenceSession&& other) noexcept
       max_queue_delay_(other.max_queue_delay_),
       max_queue_rows_(other.max_queue_rows_),
       adaptive_queue_delay_(other.adaptive_queue_delay_),
-      serving_(other.serving_.load(std::memory_order_acquire)),
+      serving_(other.serving_state()),
       runtime_(std::move(other.runtime_)),
       rows_served_(other.rows_served_.load()),
       inflight_rows_(other.inflight_rows_.load()) {
@@ -474,10 +474,11 @@ std::uint64_t InferenceSession::swap_bundle(BundleSnapshot snapshot) const {
         throw RotationError("swap_bundle: fault-injected validation failure; epoch " +
                             std::to_string(current->epoch) + " keeps serving");
     }
-    // The RCU install: one release store.  Readers that already snapshotted
-    // finish on the old state (their shared_ptr pins it, and through it the
-    // old mmap); the state frees itself after the last reader drops it.
-    serving_.store(std::move(next), std::memory_order_release);
+    // The RCU install: one pointer swap under the cell's lock.  Readers
+    // that already snapshotted finish on the old state (their shared_ptr
+    // pins it, and through it the old mmap); the state frees itself after
+    // the last reader drops it.
+    install_serving_state_(std::move(next));
     return epoch;
 }
 

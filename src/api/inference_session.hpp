@@ -36,19 +36,20 @@
 ///
 /// Epochs and hot swap (DESIGN.md §12): everything a served row reads —
 /// encoder, discretizer, model, fused flag, the mmap anchor — lives in one
-/// immutable epoch-tagged ServingState behind an atomic shared_ptr.  Every
-/// predict call takes ONE snapshot at entry, so a batch is epoch-consistent
-/// even while swap_bundle() installs a rotated bundle concurrently: in-flight
-/// work finishes on the old state (whose aliasing anchors pin the old mmap),
-/// new work sees the new epoch, and the old state frees itself when its last
-/// reader drops the snapshot.  Per-slot scratch is rebuilt lazily on first
-/// touch of a new epoch.  A swap that fails validation throws RotationError
-/// and leaves the old epoch serving.
+/// immutable epoch-tagged ServingState behind a mutex-guarded shared_ptr.
+/// Every predict call copies that pointer ONCE at entry, so a batch is
+/// epoch-consistent even while swap_bundle() installs a rotated bundle
+/// concurrently: in-flight work finishes on the old state (whose aliasing
+/// anchors pin the old mmap), new work sees the new epoch, and the old state
+/// frees itself when its last reader drops the snapshot.  Per-slot scratch
+/// is rebuilt lazily on first touch of a new epoch.  A swap that fails
+/// validation throws RotationError and leaves the old epoch serving.
 ///
-/// Outside of the explicit swap_bundle() mutation the session is safe to
-/// share across caller threads; concurrent predict()/predict_async() calls
-/// only touch slot-pinned or leased scratch and atomic counters.  Moving a
-/// session is only legal before it starts serving.
+/// The session is safe to share across caller threads, swap_bundle()
+/// included: concurrent predict()/predict_async() calls only touch the
+/// serving-state cell under its lock, slot-pinned or leased scratch and
+/// atomic counters.  Moving a session is only legal before it starts
+/// serving.
 
 #include <atomic>
 #include <chrono>
@@ -263,19 +264,22 @@ public:
     /// RCU hot swap: validates the rotated bundle's serving state (trained
     /// model, matching shapes, same feature count as the current epoch),
     /// builds the new immutable ServingState — fused path re-decided for
-    /// the new model while the old epoch still serves — and installs it
-    /// with one atomic exchange.  In-flight requests finish on the old
+    /// the new model while the old epoch still serves — and swaps it into
+    /// the cell under its lock.  In-flight requests finish on the old
     /// epoch's snapshot; requests submitted after the swap serve the new
     /// epoch; per-slot scratch rebuilds lazily on first touch of the new
     /// epoch.  Throws RotationError on any validation failure, leaving the
     /// old epoch serving untouched.  Returns the installed epoch.
     std::uint64_t swap_bundle(BundleSnapshot snapshot) const;
 
-    /// The current epoch's immutable serving state (one atomic load).  The
-    /// returned snapshot stays valid — old mmap included — for as long as
-    /// the caller holds it, even across concurrent swaps.
-    std::shared_ptr<const ServingState> serving_state() const noexcept {
-        return serving_.load(std::memory_order_acquire);
+    /// The current epoch's immutable serving state (the pointer copied
+    /// under the cell's lock).  The returned snapshot stays valid — old mmap
+    /// included — for as long as the caller holds it, even across
+    /// concurrent swaps.
+    std::shared_ptr<const ServingState> serving_state() const noexcept
+        HDLOCK_EXCLUDES(serving_mutex_) {
+        const util::MutexLock lock(serving_mutex_);
+        return serving_;
     }
 
     /// Epoch currently being served (new submissions land here).
@@ -291,13 +295,6 @@ public:
     /// path: the current epoch's model is binary and n_features() is at
     /// most util::kernels::kMaxFusedRows.
     bool fused_predict_active() const noexcept { return serving_state()->fused_predict; }
-    /// Current epoch's model/discretizer.  The references read through the
-    /// installed state: valid until the next swap_bundle() (hold
-    /// serving_state() instead when swaps may race).
-    const hdc::HdcModel& model() const noexcept { return serving_.load()->model; }
-    const hdc::MinMaxDiscretizer& discretizer() const noexcept {
-        return serving_.load()->discretizer;
-    }
 
     /// Total rows served by this session across all predict calls (atomic;
     /// approximate ordering under concurrency).
@@ -329,9 +326,17 @@ private:
         std::uint64_t epoch, std::shared_ptr<const hdc::Encoder> encoder,
         hdc::MinMaxDiscretizer discretizer, hdc::HdcModel model,
         std::shared_ptr<const void> backing) const;
-    /// Installs an already-built state (the router's rollback path).
-    void install_serving_state_(std::shared_ptr<const ServingState> state) const noexcept {
-        serving_.store(std::move(state), std::memory_order_release);
+    /// Installs an already-built state (construction, swap_bundle and the
+    /// router's rollback path).  The previous state leaves the cell under
+    /// the lock but is dropped after unlocking: dropping its last reference
+    /// can unmap an old epoch's file.
+    void install_serving_state_(std::shared_ptr<const ServingState> state) const noexcept
+        HDLOCK_EXCLUDES(serving_mutex_) {
+        {
+            const util::MutexLock lock(serving_mutex_);
+            serving_.swap(state);
+        }
+        state.reset();
     }
 
     std::future<Response> submit_async_(Request request, std::uint32_t shard_id,
@@ -356,8 +361,9 @@ private:
     std::size_t max_queue_rows_ = 8192;
     bool adaptive_queue_delay_ = false;
     /// The RCU cell: the current epoch's immutable serving state.  Readers
-    /// snapshot once per predict call; swap_bundle exchanges the pointer.
-    mutable std::atomic<std::shared_ptr<const ServingState>> serving_;
+    /// copy the pointer once per predict call; installs swap it.
+    mutable util::Mutex serving_mutex_;
+    mutable std::shared_ptr<const ServingState> serving_ HDLOCK_GUARDED_BY(serving_mutex_);
     /// Pool, slot-pinned worker scratch, leased caller scratch and the lazy
     /// async core live behind one stable pointer so moves stay cheap.
     mutable std::unique_ptr<Runtime> runtime_;

@@ -1,8 +1,7 @@
 #pragma once
 
 /// \file driver.hpp
-/// The CLI contract of the reproduction harness, shared verbatim by the
-/// standalone `hdlock_eval` tool and the `hdlock_cli eval` subcommand.
+/// The CLI contract of the reproduction harness (`hdlock_eval`).
 ///
 ///   --list              table of registered scenarios and trial counts
 ///   --scenario NAMES    run the named scenario(s); comma-separated and/or

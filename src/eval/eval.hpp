@@ -13,8 +13,7 @@
 ///
 /// Or from the shell:  `hdlock_eval --scenario fig8 --threads 8 --json`.
 /// See scenario.hpp for the trial/determinism model, report.hpp for the
-/// JSON schema, driver.hpp for the CLI contract shared by hdlock_eval and
-/// `hdlock_cli eval`.
+/// JSON schema, driver.hpp for the hdlock_eval CLI contract.
 
 #include "eval/driver.hpp"        // IWYU pragma: export
 #include "eval/json.hpp"          // IWYU pragma: export

@@ -59,8 +59,6 @@ ScenarioRegistry make_builtin_registry() {
     scenarios::register_fig9(registry);
     scenarios::register_table1(registry);
     scenarios::register_beyond_paper(registry);  // lock-grid, noise-robustness, ngram-lock
-    scenarios::register_router(registry);        // router-slo serving tier
-    scenarios::register_rotation(registry);      // key-rotation epoch hot swap
     return registry;
 }
 

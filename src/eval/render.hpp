@@ -1,9 +1,9 @@
 #pragma once
 
 /// \file render.hpp
-/// Human-readable rendering of scenario reports — the text/CSV output the
-/// old bench_figN binaries printed, produced generically from the report
-/// structure instead of per-bench printf code.
+/// Human-readable rendering of scenario reports — the text/CSV output of
+/// `hdlock_eval`, produced generically from the report structure instead
+/// of per-figure printf code.
 ///
 /// Layout: a header line (name, paper ref, mode, trial/error counts), one
 /// summary table whose rows are trials and whose columns are the union of

@@ -2,8 +2,7 @@
 /// Scenario "fig3" — Fig. 3: Hamming distances between the feature-mapping
 /// guesses and the ground truth when attacking one pixel of an unprotected
 /// MNIST-scale encoder (Sec. 3.2, Eq. 7/8).  One trial per oracle kind; both
-/// trials probe the same deployment (scenario seed), exactly like the old
-/// bench_fig3 binary.
+/// trials probe the same deployment (scenario seed).
 
 #include <algorithm>
 #include <memory>

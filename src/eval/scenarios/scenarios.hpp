@@ -20,8 +20,6 @@ void register_fig9(ScenarioRegistry& registry);
 void register_table1(ScenarioRegistry& registry);
 void register_beyond_paper(ScenarioRegistry& registry);  ///< lock-grid, noise-robustness,
                                                          ///< ngram-lock
-void register_router(ScenarioRegistry& registry);        ///< router-slo serving tier
-void register_rotation(ScenarioRegistry& registry);      ///< key-rotation epoch hot swap
 
 }  // namespace scenarios
 }  // namespace hdlock::eval

@@ -43,7 +43,7 @@ public:
     using Error::Error;
 };
 
-/// A key-rotation or epoch-swap step failed.  The contract is that the
+/// A key rotation or epoch-swap step failed.  The contract is that the
 /// failure is *contained*: the previously installed epoch keeps serving and
 /// any bundle on disk is left intact (save_atomic never tears the target).
 class RotationError : public Error {

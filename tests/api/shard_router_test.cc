@@ -1,7 +1,8 @@
 // Tests for the in-process shard router (src/api/shard_router.*): placement
 // parsing and option clamping, bit-identity across shard counts and
-// placement policies, admission control past the watermark, deadline and
-// cancellation outcomes, and construction from copied and mapped bundles.
+// placement policies, admission control past the watermark at every
+// placement, deadline and cancellation outcomes, and construction from
+// copied and mapped bundles.
 // Suite names all start with Router so the TSan CI job's gtest filter
 // (InferenceSession*:SubmitQueue*:Router*) picks them up.
 
@@ -135,50 +136,67 @@ TEST(RouterAdmission, ShedsPastTheWatermarkAndAccountsEveryRequest) {
     const Fixture fixture = make_fixture();
     const util::Matrix<float>& pool = fixture.data.test.X;
     const std::vector<int> expected = fixture.owner.open_session().predict(pool);
-
-    api::RouterOptions options;
-    options.n_shards = 1;
-    options.session.max_batch = 16;
-    options.session.max_queue_rows = 64;
-    options.shed_watermark_rows = 16;  // two 8-row requests in flight, tops
-    const api::ShardRouter router = fixture.owner.open_router(options);
-
     constexpr std::size_t kRowsPerRequest = 8;
     constexpr std::size_t kRequests = 200;
-    std::vector<std::future<api::Response>> inflight;
-    inflight.reserve(kRequests);
-    for (std::size_t i = 0; i < kRequests; ++i) {
-        api::Request request;
-        request.rows = slice_rows(pool, i * kRowsPerRequest, kRowsPerRequest);
-        inflight.push_back(router.submit(std::move(request)));
-    }
 
-    std::size_t ok = 0;
-    std::size_t shed = 0;
-    for (std::size_t i = 0; i < inflight.size(); ++i) {
-        const api::Response response = inflight[i].get();
-        if (response.status == api::Status::ok) {
-            ++ok;
-            for (std::size_t r = 0; r < response.labels.size(); ++r) {
-                EXPECT_EQ(response.labels[r],
-                          expected[(i * kRowsPerRequest + r) % pool.rows()]);
+    for (const std::size_t shards : {std::size_t{1}, std::size_t{2}}) {
+        for (const api::Placement placement :
+             {api::Placement::round_robin, api::Placement::least_loaded,
+              api::Placement::consistent_hash}) {
+            api::RouterOptions options;
+            options.n_shards = shards;
+            options.placement = placement;
+            options.session.max_batch = 16;
+            options.session.max_queue_rows = 64;
+            // An aggregate watermark of two 8-row requests per shard stays
+            // under every shard queue (64 rows), so every refusal is the
+            // router's watermark.
+            options.shed_watermark_rows = 16 * shards;
+            const api::ShardRouter router = fixture.owner.open_router(options);
+
+            std::vector<std::future<api::Response>> inflight;
+            inflight.reserve(kRequests);
+            for (std::size_t i = 0; i < kRequests; ++i) {
+                api::Request request;
+                request.rows = slice_rows(pool, i * kRowsPerRequest, kRowsPerRequest);
+                if (placement == api::Placement::consistent_hash) {
+                    request.shard_key = i % 6;
+                }
+                inflight.push_back(router.submit(std::move(request)));
             }
-        } else {
-            ASSERT_EQ(response.status, api::Status::overloaded);
-            EXPECT_TRUE(response.labels.empty());
-            ++shed;
+
+            std::size_t ok = 0;
+            std::size_t shed = 0;
+            for (std::size_t i = 0; i < inflight.size(); ++i) {
+                const api::Response response = inflight[i].get();
+                if (response.status == api::Status::ok) {
+                    ++ok;
+                    for (std::size_t r = 0; r < response.labels.size(); ++r) {
+                        EXPECT_EQ(response.labels[r],
+                                  expected[(i * kRowsPerRequest + r) % pool.rows()])
+                            << "request " << i << " row " << r << " at " << shards
+                            << " shard(s), " << api::placement_name(placement);
+                    }
+                } else {
+                    ASSERT_EQ(response.status, api::Status::overloaded)
+                        << shards << " shard(s), " << api::placement_name(placement);
+                    EXPECT_TRUE(response.labels.empty());
+                    ++shed;
+                }
+            }
+            // Firing 200 requests without harvesting against the watermark
+            // must shed (serving 8 rows is far slower than the submit loop),
+            // and every request resolves exactly once as ok or overloaded.
+            EXPECT_EQ(ok + shed, kRequests) << shards << " shard(s), "
+                                            << api::placement_name(placement);
+            EXPECT_GE(ok, 1u) << shards << " shard(s), " << api::placement_name(placement);
+            EXPECT_GE(shed, 1u) << shards << " shard(s), " << api::placement_name(placement);
+            const api::RouterStats stats = router.stats();
+            EXPECT_EQ(stats.accepted, ok);
+            EXPECT_EQ(stats.shed, shed);
+            EXPECT_EQ(router.inflight_rows(), 0u);
         }
     }
-    // Firing 200 requests without harvesting against a 16-row watermark must
-    // shed (serving 8 rows is far slower than the submit loop), and every
-    // request resolves exactly once as ok or overloaded.
-    EXPECT_EQ(ok + shed, kRequests);
-    EXPECT_GE(ok, 1u);
-    EXPECT_GE(shed, 1u);
-    const api::RouterStats stats = router.stats();
-    EXPECT_EQ(stats.accepted, ok);
-    EXPECT_EQ(stats.shed, shed);
-    EXPECT_EQ(router.inflight_rows(), 0u);
 }
 
 TEST(RouterDeadlines, QueuedRequestBehindASlowBatchExceedsItsDeadline) {
@@ -209,6 +227,42 @@ TEST(RouterDeadlines, QueuedRequestBehindASlowBatchExceedsItsDeadline) {
     EXPECT_TRUE(late.labels.empty());
 
     EXPECT_EQ(plug_future.get().status, api::Status::ok);
+}
+
+TEST(RouterDeadlines, SpentDeadlineResolvesWithoutLabelsAtEveryShardCountAndPlacement) {
+    const Fixture fixture = make_fixture();
+    const util::Matrix<float>& pool = fixture.data.test.X;
+    constexpr std::size_t kRequests = 12;
+
+    for (const std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
+        for (const api::Placement placement :
+             {api::Placement::round_robin, api::Placement::least_loaded,
+              api::Placement::consistent_hash}) {
+            api::RouterOptions options;
+            options.n_shards = shards;
+            options.placement = placement;
+            const api::ShardRouter router = fixture.owner.open_router(options);
+
+            // A budget spent before submit resolves at the shard's front
+            // door: no queue slot, no labels.
+            for (std::size_t i = 0; i < kRequests; ++i) {
+                api::Request request;
+                request.rows = slice_rows(pool, i * 8, 8);
+                request.deadline = util::Deadline::after(std::chrono::nanoseconds{0});
+                if (placement == api::Placement::consistent_hash) {
+                    request.shard_key = i % 6;
+                }
+                const api::Response response = router.submit(std::move(request)).get();
+                EXPECT_EQ(response.status, api::Status::deadline_exceeded)
+                    << "request " << i << " at " << shards << " shard(s), "
+                    << api::placement_name(placement);
+                EXPECT_TRUE(response.labels.empty());
+                EXPECT_LT(response.shard_id, shards);
+            }
+            EXPECT_EQ(router.inflight_rows(), 0u);
+            EXPECT_EQ(router.stats().shed, 0u);
+        }
+    }
 }
 
 TEST(RouterCancellation, CancelBeforeDispatchResolvesWithoutServing) {

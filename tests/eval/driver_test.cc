@@ -1,7 +1,7 @@
-// Tests for the shared CLI driver (src/eval/driver.hpp) that backs both
-// hdlock_eval and `hdlock_cli eval`: --list output, scenario selection and
-// the unknown-name exit path, JSON emission (stdout and file), the
-// --no-timing determinism mode, and the error/empty exit codes.
+// Tests for the CLI driver (src/eval/driver.hpp) that backs hdlock_eval:
+// --list output, scenario selection and the unknown-name exit path, JSON
+// emission (stdout and file), the --no-timing determinism mode, and the
+// error/empty exit codes.
 
 #include "eval/driver.hpp"
 

@@ -1,9 +1,9 @@
 #pragma once
 
 /// \file eval_cli.hpp
-/// Shared flag -> eval::EvalCliOptions translation for the two front ends
-/// of the reproduction harness (`hdlock_eval` and `hdlock_cli eval`), split
-/// out so both parse identically and the mapping is unit-testable.
+/// Flag -> eval::EvalCliOptions translation for `hdlock_eval`, the front
+/// end of the reproduction harness, split out so the mapping is
+/// unit-testable.
 
 #include <string>
 

@@ -27,10 +27,6 @@
 ///                                            api::InferenceSession, or the
 ///                                            api::ShardRouter fleet when
 ///                                            --shards/--placement are given
-///   eval      --list | --scenario NAME | --all [...]
-///                                            paper-reproduction harness
-///                                            (same contract as hdlock_eval;
-///                                            see src/eval/driver.hpp)
 ///   attack    --dir D --data train.csv --test test.csv [--kind K] [--seed S]
 ///                                            replay the Sec. 3.2 theft
 ///   complexity --features N [--dim D] [--pool P] [--layers L]
@@ -48,8 +44,6 @@
 #include "cli_args.hpp"
 #include "core/complexity.hpp"
 #include "data/loaders.hpp"
-#include "eval/eval.hpp"
-#include "eval_cli.hpp"
 #include "util/table.hpp"
 
 namespace {
@@ -171,14 +165,6 @@ int cmd_export(const Args& args) {
 }
 
 int cmd_eval(const Args& args) {
-    // Two personalities behind one subcommand: scenario flags route to the
-    // paper-reproduction harness (the hdlock_eval contract), otherwise this
-    // is the classic bundle-accuracy evaluation.
-    if (args.has("list") || args.has("scenario") || args.has("all")) {
-        args.check_known("eval", cli::kEvalKnownFlags);
-        const auto options = cli::parse_eval_options(args, "hdlock_cli eval");
-        return eval::run_eval_cli(options, eval::builtin_registry(), std::cout, std::cerr);
-    }
     args.check_known("eval", {"dir", "data", "side", "threads", "mmap", "shards", "placement"});
     const Paths paths{fs::path(args.require("dir"))};
     const auto dataset = data::load_csv(args.require("data"));
@@ -345,7 +331,7 @@ int main(int argc, char** argv) {
     const std::string command = argv[1];
     if (command == "--help" || command == "-h" || command == "help") return usage(std::cout, 0);
     try {
-        const Args args(argc, argv, 2, cli::kEvalBooleanFlags);
+        const Args args(argc, argv, 2);
         if (command == "provision") return cmd_provision(args);
         if (command == "audit") return cmd_audit(args);
         if (command == "train") return cmd_train(args);

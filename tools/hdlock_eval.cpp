@@ -9,8 +9,8 @@
 ///   hdlock_eval --scenario fig5,fig6 --csv
 ///
 /// See src/eval/driver.hpp for the full flag contract and exit codes
-/// (0 green, 1 scenario error/empty report, 2 usage error).  The same
-/// harness is reachable as `hdlock_cli eval --list/--scenario/--all`.
+/// (0 green, 1 scenario error/empty report, 2 usage error).  This is the
+/// harness's only front end.
 
 #include <iostream>
 
