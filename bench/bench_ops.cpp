@@ -357,7 +357,7 @@ BENCHMARK(BM_ServeBatchSession)->Arg(1)->Arg(2)->Arg(4)->Unit(benchmark::kMillis
 //  - BM_ServeConcurrentCallers: p50/p99 single-row latency with 4 caller
 //    threads hammering one shared session.
 //  - BM_ServeAsyncMicroBatch: 64 independent 1-row predict_async(Request)
-//    calls per iteration, coalesced by the SubmitQueue dispatcher.
+//    calls per iteration, batched by the SubmitQueue dispatcher.
 //  - BM_RouterOpenLoop/<placement>/{shards,burst}: open-loop typed requests
 //    against a ShardRouter fleet — bursts past the shed watermark must come
 //    back Overloaded (bounded queues, bounded p99 queue time) while every
@@ -475,14 +475,13 @@ void BM_ServeConcurrentCallers(benchmark::State& state) {
 BENCHMARK(BM_ServeConcurrentCallers)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 /// 64 independent 1-row requests per iteration through predict_async(): the
-/// SubmitQueue coalesces them into micro-batches that ride the pool.
+/// dispatcher serves whatever has queued as one micro-batch on the pool.
 void BM_ServeAsyncMicroBatch(benchmark::State& state) {
     const ServingFixture& fixture = latency_fixture();
     api::SessionOptions options;
     options.n_threads = 2;
     options.min_rows_per_thread = 1;
     options.max_batch = 64;
-    options.max_queue_delay = std::chrono::microseconds(100);
     const auto session = fixture.owner.open_session(options);
     constexpr std::size_t kRequests = 64;
     for (auto _ : state) {

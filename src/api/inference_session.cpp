@@ -46,23 +46,11 @@ Status SubmitQueue::try_submit(AsyncRequest&& request) {
     return Status::ok;
 }
 
-std::vector<AsyncRequest> SubmitQueue::pop_batch(std::size_t max_batch,
-                                                 std::chrono::microseconds delay) {
+std::vector<AsyncRequest> SubmitQueue::pop_batch(std::size_t max_batch) {
     max_batch = std::max<std::size_t>(max_batch, 1);
     const util::MutexLock lock(mutex_);
     while (!closed_ && requests_.empty()) not_empty_.wait(mutex_);
     if (requests_.empty()) return {};  // closed and drained
-
-    // Coalescing window: give concurrent small callers `delay` to pile on,
-    // cut short as soon as a full micro-batch is queued.
-    if (delay.count() > 0 && queued_rows_ < max_batch && !closed_) {
-        // hdlock-lint: allow(nondeterminism) — the coalescing deadline is a
-        // wall-clock latency bound; it shapes batching, never per-row labels.
-        const auto deadline = std::chrono::steady_clock::now() + delay;
-        while (!closed_ && queued_rows_ < max_batch) {
-            if (not_empty_.wait_until(mutex_, deadline) == std::cv_status::timeout) break;
-        }
-    }
 
     std::vector<AsyncRequest> batch;
     std::size_t rows = 0;
@@ -183,18 +171,10 @@ struct InferenceSession::Runtime {
     struct AsyncCore {
         const InferenceSession* session;
         SubmitQueue queue;
-        /// Effective coalescing delay in µs, read by the dispatcher each
-        /// cycle and rewritten by the adaptive governor (atomic so tests
-        /// and current_queue_delay() may read it from other threads).
-        std::atomic<std::int64_t> queue_delay_us;
-        // Governor state below is touched by the dispatcher thread only.
-        double arrival_rate = 0.0;  // EWMA, rows per µs
-        bool governor_primed = false;
-        util::SteadyTime last_pop{};
         util::Thread dispatcher;
 
         AsyncCore(const InferenceSession* owner, std::size_t max_rows)
-            : session(owner), queue(max_rows), queue_delay_us(owner->max_queue_delay_.count()) {
+            : session(owner), queue(max_rows) {
             dispatcher = util::Thread([this] { run(); });
         }
 
@@ -205,9 +185,7 @@ struct InferenceSession::Runtime {
 
         void run() {
             for (;;) {
-                const std::chrono::microseconds delay(
-                    queue_delay_us.load(std::memory_order_relaxed));
-                std::vector<AsyncRequest> batch = queue.pop_batch(session->max_batch_, delay);
+                std::vector<AsyncRequest> batch = queue.pop_batch(session->max_batch_);
                 if (batch.empty()) return;  // closed and drained
                 if (queue.closed()) {
                     // Shutdown leftovers: the session is being destroyed, so
@@ -217,7 +195,6 @@ struct InferenceSession::Runtime {
                     fail_shutdown(batch);
                     continue;
                 }
-                if (session->adaptive_queue_delay_) update_governor(batch);
                 serve(batch);
             }
         }
@@ -229,36 +206,6 @@ struct InferenceSession::Runtime {
                                   "InferenceSession: destroyed with queued predict_async "
                                   "work; the request was never served")));
             }
-        }
-
-        /// Adaptive max_queue_delay: estimate the request arrival rate from
-        /// rows popped per dispatch cycle (EWMA), then wait only as long as
-        /// coalescing can actually pay — zero when arrivals are too sparse
-        /// for a second request to join the window, otherwise just long
-        /// enough to fill a batch at the measured rate, capped at the
-        /// configured maximum.  Shapes batching/latency only, never labels.
-        void update_governor(const std::vector<AsyncRequest>& batch) {
-            std::size_t rows = 0;
-            for (const auto& request : batch) rows += request.rows.rows();
-            const util::SteadyTime now = util::steady_now();
-            if (!governor_primed) {
-                governor_primed = true;
-                last_pop = now;
-                return;
-            }
-            const double elapsed_us = std::max(
-                std::chrono::duration<double, std::micro>(now - last_pop).count(), 1.0);
-            last_pop = now;
-            const double rate = static_cast<double>(rows) / elapsed_us;
-            arrival_rate = arrival_rate == 0.0 ? rate : 0.8 * arrival_rate + 0.2 * rate;
-            const double max_us = static_cast<double>(session->max_queue_delay_.count());
-            double target_us = 0.0;
-            if (arrival_rate * max_us >= 1.0) {
-                target_us = std::min(
-                    max_us, static_cast<double>(session->max_batch_) / arrival_rate);
-            }
-            queue_delay_us.store(static_cast<std::int64_t>(target_us),
-                                 std::memory_order_relaxed);
         }
 
         /// Settles the in-flight accounting for a request.  resolve and
@@ -380,9 +327,7 @@ InferenceSession::InferenceSession(std::shared_ptr<const hdc::Encoder> encoder,
                                    SessionOptions options)
     : min_rows_per_thread_(std::max<std::size_t>(options.min_rows_per_thread, 1)),
       max_batch_(std::max<std::size_t>(options.max_batch, 1)),
-      max_queue_delay_(options.max_queue_delay),
       max_queue_rows_(std::max<std::size_t>(options.max_queue_rows, 1)),
-      adaptive_queue_delay_(options.adaptive_queue_delay),
       runtime_(std::make_unique<Runtime>()) {
     n_threads_ = options.n_threads != 0 ? options.n_threads : util::hardware_concurrency();
     install_serving_state_(build_serving_state_(options.epoch, std::move(encoder),
@@ -401,9 +346,7 @@ InferenceSession::InferenceSession(InferenceSession&& other) noexcept
     : n_threads_(other.n_threads_),
       min_rows_per_thread_(other.min_rows_per_thread_),
       max_batch_(other.max_batch_),
-      max_queue_delay_(other.max_queue_delay_),
       max_queue_rows_(other.max_queue_rows_),
-      adaptive_queue_delay_(other.adaptive_queue_delay_),
       serving_(other.serving_state()),
       runtime_(std::move(other.runtime_)),
       rows_served_(other.rows_served_.load()),
@@ -630,15 +573,6 @@ std::future<Response> InferenceSession::submit_async_(Request request, std::uint
         queued.promise.set_value(std::move(shed));
     }
     return future;
-}
-
-std::chrono::microseconds InferenceSession::current_queue_delay() const {
-    const util::MutexLock lock(runtime_->async_init);
-    if (runtime_->async != nullptr) {
-        return std::chrono::microseconds(
-            runtime_->async->queue_delay_us.load(std::memory_order_relaxed));
-    }
-    return max_queue_delay_;
 }
 
 double InferenceSession::evaluate(const data::Dataset& dataset) const {

@@ -18,13 +18,14 @@
 /// predict_row() costs one mutex handoff, not an allocation.
 ///
 /// predict_async(Request) is the micro-batching front door: requests enter
-/// a bounded SubmitQueue and a dispatcher thread coalesces whatever arrives
-/// within `max_queue_delay` (up to `max_batch` rows) into one fused batch,
-/// so many independent small callers amortise dispatch the way one big
-/// batch does.  Responses come back through std::future and their labels
-/// are bit-identical to predict() — per-row results are a pure function of
-/// the input regardless of thread count or coalescing (see hdc::Encoder on
-/// tie breaking).
+/// a bounded SubmitQueue and a dispatcher thread serves whatever is queued
+/// (up to `max_batch` rows) as one fused batch the moment it is free; what
+/// arrives while it serves one batch forms the next.  So many independent
+/// small callers amortise dispatch the way one big batch does, and an idle
+/// session adds no wait.  Responses come back through std::future and their
+/// labels are bit-identical to predict() — per-row results are a pure
+/// function of the input regardless of thread count or batching (see
+/// hdc::Encoder on tie breaking).
 ///
 /// Each row takes one of three bodies, fixed per epoch by the model: binary
 /// models with at most util::kernels::kMaxFusedRows features are scored by
@@ -83,20 +84,9 @@ struct SessionOptions {
     /// predict_async() micro-batching: the dispatcher fuses queued requests
     /// into batches of at most this many rows.
     std::size_t max_batch = 256;
-    /// How long the dispatcher waits for more requests to coalesce after
-    /// the first one arrives.  0 serves every request immediately.
-    std::chrono::microseconds max_queue_delay{200};
     /// Row capacity of the bounded submit queue; predict_async() blocks
     /// (backpressure) while the queue is full.
     std::size_t max_queue_rows = 8192;
-    /// Opt-in adaptive coalescing governor: the dispatcher measures the
-    /// request arrival rate (EWMA of rows/µs across pop cycles) and scales
-    /// the effective queue delay between 0 and `max_queue_delay` — waiting
-    /// only helps when arrivals actually overlap, so an idle session serves
-    /// immediately while a saturated one coalesces just long enough to fill
-    /// a batch.  Off by default (fixed `max_queue_delay`); the shard router
-    /// turns it on.  Affects batching/latency only, never labels.
-    bool adaptive_queue_delay = false;
     /// Epoch stamp of the initial serving state.  Bundle-derived factories
     /// (api::Device, api::Owner) pass the bundle's epoch; hand-built
     /// sessions start at 0.  Response::epoch reports the epoch that served.
@@ -138,7 +128,7 @@ struct AsyncRequest {
 
 /// Bounded MPSC hand-off between predict_async() callers and the session's
 /// dispatcher thread.  push() applies backpressure (blocks while `max_rows`
-/// are queued); pop_batch() coalesces concurrent small requests into one
+/// are queued); pop_batch() takes the queued small requests as one
 /// micro-batch.  close() wakes everyone: producers get an error, the
 /// consumer drains what is left and then sees "done".
 ///
@@ -163,11 +153,11 @@ public:
     /// when the queue is closed.
     Status try_submit(AsyncRequest&& request) HDLOCK_EXCLUDES(mutex_);
 
-    /// Blocks until a request arrives, then keeps collecting whole requests
-    /// for up to `delay` or until `max_batch` rows are gathered.  Returns
-    /// an empty vector once closed and drained.
-    std::vector<AsyncRequest> pop_batch(std::size_t max_batch, std::chrono::microseconds delay)
-        HDLOCK_EXCLUDES(mutex_);
+    /// Blocks until a request arrives, then takes whole queued requests in
+    /// FIFO order up to `max_batch` rows (a larger first request goes
+    /// alone).  Never waits for more to arrive.  Returns an empty vector
+    /// once closed and drained.
+    std::vector<AsyncRequest> pop_batch(std::size_t max_batch) HDLOCK_EXCLUDES(mutex_);
 
     void close() HDLOCK_EXCLUDES(mutex_);
 
@@ -308,10 +298,13 @@ public:
         return rows > 0 ? static_cast<std::size_t>(rows) : 0;
     }
 
-    /// The coalescing delay the dispatcher is currently using: the
-    /// configured `max_queue_delay` until the adaptive governor (when
-    /// enabled) has measured an arrival rate, then its scaled value.
-    std::chrono::microseconds current_queue_delay() const;
+    /// Always zero: the dispatcher never holds a request to wait for more.
+    /// Kept only because bench/serving samples it; it goes together with
+    /// the benchmark's `api.session.coalesce_delay_us` metric in a later
+    /// change to the benchmark.
+    std::chrono::microseconds current_queue_delay() const noexcept {
+        return std::chrono::microseconds{0};
+    }
 
 private:
     friend class ShardRouter;  // swap_all rollback re-installs captured states
@@ -357,9 +350,7 @@ private:
     std::size_t n_threads_ = 1;
     std::size_t min_rows_per_thread_ = 16;
     std::size_t max_batch_ = 256;
-    std::chrono::microseconds max_queue_delay_{200};
     std::size_t max_queue_rows_ = 8192;
-    bool adaptive_queue_delay_ = false;
     /// The RCU cell: the current epoch's immutable serving state.  Readers
     /// copy the pointer once per predict call; installs swap it.
     mutable util::Mutex serving_mutex_;

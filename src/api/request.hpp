@@ -4,8 +4,8 @@
 /// Typed request/response surface for the serving tier — the one async
 /// contract the router and session share:
 ///
-///   Request  — rows plus serving metadata (deadline, priority, placement
-///              key, cancellation token).
+///   Request  — rows plus serving metadata (deadline, placement key,
+///              cancellation token).
 ///   Response — labels plus a Status and serving telemetry (which shard,
 ///              how long the request sat queued).
 ///
@@ -19,10 +19,10 @@
 ///
 /// Determinism: labels in an Ok response are a pure function of the rows —
 /// identical across shard counts, placement policies, and thread counts.
-/// Deadlines/priority/keys decide only *whether and where* a request is
-/// served.  `queue_time` is wall-clock telemetry and is the one
-/// nondeterministic field; eval scenarios must keep anything derived from
-/// it under the reserved "timing" metrics key.
+/// Deadlines and keys decide only *whether and where* a request is served.
+/// `queue_time` is wall-clock telemetry and is the one nondeterministic
+/// field; eval scenarios must keep anything derived from it under the
+/// reserved "timing" metrics key.
 
 #include <atomic>
 #include <chrono>
@@ -107,10 +107,6 @@ struct Request {
     /// Drop the request (Status::deadline_exceeded) if the dispatcher has
     /// not reached it by this point.  Defaults to never.
     util::Deadline deadline{};
-    /// Admission-control priority.  Requests with priority > 0 ride through
-    /// the router's shed watermark up to its configured headroom; 0 (the
-    /// default) and below shed first.  Does not reorder the queue.
-    std::int32_t priority = 0;
     /// Optional placement key for consistent-hash routing: equal keys land
     /// on the same shard (session-affinity / cache-warmth).  Ignored by the
     /// other placement policies; absent keys fall back to round-robin.

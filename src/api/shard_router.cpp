@@ -16,6 +16,10 @@ namespace {
 constexpr std::uint64_t kRingSalt = 0x9e3779b97f4a7c15ULL;
 constexpr std::uint64_t kKeySalt = 0xc2b2ae3d27d4eb4fULL;
 
+/// Virtual nodes per shard on the consistent-hash ring: enough for a smooth
+/// key spread at the fleet sizes the router serves.
+constexpr std::size_t kHashVirtualNodes = 64;
+
 }  // namespace
 
 std::optional<Placement> parse_placement(std::string_view name) noexcept {
@@ -32,22 +36,19 @@ ShardRouter::ShardRouter(std::shared_ptr<const hdc::Encoder> encoder,
     HDLOCK_EXPECTS(encoder != nullptr, "ShardRouter: null encoder");
     const std::size_t n = std::max<std::size_t>(options_.n_shards, 1);
     options_.n_shards = n;
-    SessionOptions session = options_.session;
-    session.adaptive_queue_delay = options_.adaptive_queue_delay;
     shards_.reserve(n);
     for (std::size_t s = 0; s < n; ++s) {
         shards_.push_back(
-            std::make_unique<InferenceSession>(encoder, discretizer, model, session));
+            std::make_unique<InferenceSession>(encoder, discretizer, model, options_.session));
     }
     watermark_ = options_.shed_watermark_rows != 0
                      ? options_.shed_watermark_rows
-                     : n * std::max<std::size_t>(session.max_queue_rows, 1);
+                     : n * std::max<std::size_t>(options_.session.max_queue_rows, 1);
     routed_ = std::vector<std::atomic<std::uint64_t>>(n);
     if (options_.placement == Placement::consistent_hash) {
-        const std::size_t vnodes = std::max<std::size_t>(options_.hash_virtual_nodes, 1);
-        ring_.reserve(n * vnodes);
+        ring_.reserve(n * kHashVirtualNodes);
         for (std::size_t s = 0; s < n; ++s) {
-            for (std::size_t v = 0; v < vnodes; ++v) {
+            for (std::size_t v = 0; v < kHashVirtualNodes; ++v) {
                 ring_.emplace_back(util::hash_mix(util::hash_mix(kRingSalt, s + 1), v + 1),
                                    static_cast<std::uint32_t>(s));
             }
@@ -55,16 +56,6 @@ ShardRouter::ShardRouter(std::shared_ptr<const hdc::Encoder> encoder,
         std::sort(ring_.begin(), ring_.end());
     }
 }
-
-ShardRouter::ShardRouter(ShardRouter&& other) noexcept
-    : options_(std::move(other.options_)),
-      watermark_(other.watermark_),
-      shards_(std::move(other.shards_)),
-      ring_(std::move(other.ring_)),
-      round_robin_(other.round_robin_.load()),
-      accepted_(other.accepted_.load()),
-      shed_(other.shed_.load()),
-      routed_(std::move(other.routed_)) {}
 
 std::uint32_t ShardRouter::ring_lookup_(std::uint64_t key) const {
     const std::uint64_t point = util::hash_mix(kKeySalt, key);
@@ -136,14 +127,11 @@ std::size_t ShardRouter::inflight_rows() const noexcept {
 std::future<Response> ShardRouter::submit(Request request) const {
     const std::size_t rows = request.rows.rows();
     // Admission first, placement second: an overloaded fleet refuses in
-    // O(shards) without touching any queue.  priority > 0 rides through up
-    // to the configured headroom multiple of the watermark.
-    const double headroom = std::max(options_.priority_headroom, 1.0);
-    const std::size_t limit =
-        request.priority > 0
-            ? static_cast<std::size_t>(static_cast<double>(watermark_) * headroom)
-            : watermark_;
-    if (rows > 0 && inflight_rows() + rows > limit) {
+    // O(shards) without touching any queue.  An idle fleet admits even a
+    // request larger than the watermark (SubmitQueue's oversized-alone
+    // rule): refusing it there would refuse it forever.
+    const std::size_t inflight = inflight_rows();
+    if (rows > 0 && inflight > 0 && inflight + rows > watermark_) {
         shed_.fetch_add(1, std::memory_order_relaxed);
         Response response;
         response.status = Status::overloaded;

@@ -15,8 +15,9 @@
 ///               shape is fixed).
 ///   Admission   submit() never blocks.  Past `shed_watermark_rows`
 ///               aggregate in-flight rows the request resolves immediately
-///               with Status::overloaded (priority > 0 rides through up to
-///               `priority_headroom` x the watermark); an individually full
+///               with Status::overloaded — unless nothing is in flight, so
+///               a request larger than the watermark is served alone on an
+///               idle fleet (SubmitQueue's rule); an individually full
 ///               shard queue likewise refuses via try_predict_async.
 ///   Deadlines   ride the Request into the shard's dispatcher, which drops
 ///               expired work before encode (see inference_session.hpp).
@@ -24,8 +25,8 @@
 /// Labels are bit-identical across shard counts and placement policies —
 /// per-row results are a pure function of the input, so sharding is purely
 /// a throughput/latency decision.  The router is immutable after
-/// construction and safe to share across caller threads; moving is only
-/// legal before it starts serving (same contract as InferenceSession).
+/// construction, safe to share across caller threads, and neither copyable
+/// nor movable: the factories return it as a prvalue.
 
 #include <atomic>
 #include <cstdint>
@@ -73,22 +74,10 @@ struct RouterOptions {
     Placement placement = Placement::least_loaded;
     /// Options each shard's InferenceSession is built with.
     SessionOptions session{};
-    /// The router overwrites session.adaptive_queue_delay with this: under
-    /// a router the arrival-rate governor is the right default (each shard
-    /// sees a slice of the offered load, so a fixed coalescing delay is
-    /// wrong at both extremes).
-    bool adaptive_queue_delay = true;
     /// Aggregate in-flight rows past which submit() sheds with
     /// Status::overloaded.  0 derives n_shards * session.max_queue_rows
     /// (i.e. "every queue full").
     std::size_t shed_watermark_rows = 0;
-    /// Requests with priority > 0 are admitted up to this multiple of the
-    /// watermark (>= 1; gives paid/critical traffic headroom while bulk
-    /// traffic sheds first).
-    double priority_headroom = 2.0;
-    /// Virtual nodes per shard on the consistent-hash ring; more nodes,
-    /// smoother key spread (and less movement when the fleet resizes).
-    std::size_t hash_virtual_nodes = 64;
 };
 
 /// Router-side counters (monotonic; approximate ordering under
@@ -115,9 +104,9 @@ public:
     ShardRouter(std::shared_ptr<const hdc::Encoder> encoder, hdc::MinMaxDiscretizer discretizer,
                 hdc::HdcModel model, RouterOptions options = {});
 
-    /// Movable so factories can return routers by value; only legal before
-    /// serving starts.  Not copyable.
-    ShardRouter(ShardRouter&& other) noexcept;
+    /// Immovable, so a serving router cannot be moved out from under its
+    /// callers.  Factories return it as a prvalue, which needs no move.
+    ShardRouter(ShardRouter&&) = delete;
     ShardRouter(const ShardRouter&) = delete;
     ShardRouter& operator=(const ShardRouter&) = delete;
     ShardRouter& operator=(ShardRouter&&) = delete;

@@ -71,9 +71,9 @@ private:
     Mutex& mutex_;
 };
 
-/// Condition variable bound to util::Mutex.  wait/wait_until require the
-/// mutex to be held (checked); they adopt it into a std::unique_lock for the
-/// underlying std primitive and hand it straight back, so the fast
+/// Condition variable bound to util::Mutex.  wait requires the mutex to be
+/// held (checked); it adopts it into a std::unique_lock for the underlying
+/// std primitive and hands it straight back, so the fast
 /// std::condition_variable is used rather than condition_variable_any.
 class CondVar {
 public:
@@ -87,18 +87,6 @@ public:
         std::unique_lock<std::mutex> lock(mutex.raw_, std::adopt_lock);
         cv_.wait(lock);
         lock.release();  // the caller's MutexLock still owns the mutex
-    }
-
-    /// wait() with a deadline; returns std::cv_status::timeout when the
-    /// deadline passed (the mutex is re-acquired either way).
-    template <typename Clock, typename Duration>
-    std::cv_status wait_until(Mutex& mutex,
-                              const std::chrono::time_point<Clock, Duration>& deadline)
-        HDLOCK_REQUIRES(mutex) {
-        std::unique_lock<std::mutex> lock(mutex.raw_, std::adopt_lock);
-        const std::cv_status status = cv_.wait_until(lock, deadline);
-        lock.release();
-        return status;
     }
 
     void notify_one() noexcept { cv_.notify_one(); }

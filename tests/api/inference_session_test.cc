@@ -17,6 +17,7 @@
 #include "api/facades.hpp"
 #include "data/synthetic.hpp"
 #include "hdc/classifier.hpp"
+#include "held_encoder.hpp"
 #include "util/kernels.hpp"
 
 namespace {
@@ -366,7 +367,7 @@ TEST(SubmitQueue, CoalescesQueuedRequestsIntoOneMicroBatch) {
         queue.push(api::AsyncRequest{.rows = util::Matrix<float>(2, 4)});
     }
     EXPECT_EQ(queue.queued_rows(), 6u);
-    const auto batch = queue.pop_batch(/*max_batch=*/256, std::chrono::microseconds(0));
+    const auto batch = queue.pop_batch(/*max_batch=*/256);
     EXPECT_EQ(batch.size(), 3u);
     EXPECT_EQ(queue.queued_rows(), 0u);
 }
@@ -377,7 +378,7 @@ TEST(SubmitQueue, RespectsMaxBatchAndTakesWholeRequests) {
         queue.push(api::AsyncRequest{.rows = util::Matrix<float>(3, 4)});
     }
     // 3 + 3 = 6 <= 7, adding the third request would exceed max_batch.
-    const auto batch = queue.pop_batch(/*max_batch=*/7, std::chrono::microseconds(0));
+    const auto batch = queue.pop_batch(/*max_batch=*/7);
     EXPECT_EQ(batch.size(), 2u);
     EXPECT_EQ(queue.queued_rows(), 6u);
 }
@@ -387,13 +388,13 @@ TEST(SubmitQueue, OversizedRequestIsAdmittedAloneAndCloseWakesProducers) {
     // Larger than the whole queue: admitted when the queue is empty.
     queue.push(api::AsyncRequest{.rows = util::Matrix<float>(9, 2)});
     EXPECT_EQ(queue.queued_rows(), 9u);
-    const auto batch = queue.pop_batch(/*max_batch=*/4, std::chrono::microseconds(0));
+    const auto batch = queue.pop_batch(/*max_batch=*/4);
     ASSERT_EQ(batch.size(), 1u);  // whole requests are never split
     EXPECT_EQ(batch.front().rows.rows(), 9u);
 
     queue.close();
     EXPECT_THROW(queue.push(api::AsyncRequest{.rows = util::Matrix<float>(1, 2)}), Error);
-    EXPECT_TRUE(queue.pop_batch(4, std::chrono::microseconds(0)).empty());
+    EXPECT_TRUE(queue.pop_batch(4).empty());
 }
 
 TEST(SubmitQueue, TrySubmitRefusesWhenFullWithoutConsumingTheRequest) {
@@ -436,7 +437,7 @@ TEST(SubmitQueue, TrySubmitIsSafeUnderConcurrentProducers) {
     std::atomic<int> refused{0};
     util::Thread consumer([&] {
         while (true) {
-            const auto batch = queue.pop_batch(/*max_batch=*/4, std::chrono::microseconds(0));
+            const auto batch = queue.pop_batch(/*max_batch=*/4);
             if (batch.empty()) break;  // closed and drained
         }
     });
@@ -516,48 +517,6 @@ TEST(InferenceSession, DoomedTypedRequestsResolveWithoutServing) {
     EXPECT_EQ(session.rows_served(), served_before);
 }
 
-namespace {
-
-/// Bit-identical to a RecordEncoder over the same ItemMemory and tie seed,
-/// but throws on an armed set of encode calls.  The shared kernel reads
-/// feature_hv_array() exactly once per row encode, so with a
-/// single-threaded session the call counter enumerates encoded rows in
-/// dispatch order — which lets a test poison "the second fused row, and the
-/// same request's solo retry" deterministically.
-class PoisonEncoder final : public hdc::Encoder {
-public:
-    PoisonEncoder(std::shared_ptr<const hdc::ItemMemory> memory, std::uint64_t tie_seed)
-        : Encoder(tie_seed), memory_(std::move(memory)) {}
-
-    std::size_t dim() const override { return memory_->dim(); }
-    std::size_t n_features() const override { return memory_->n_features(); }
-    std::size_t n_levels() const override { return memory_->n_levels(); }
-
-    void arm(std::vector<int> fail_on) {
-        fail_on_ = std::move(fail_on);
-        calls_.store(0);
-    }
-
-protected:
-    std::span<const hdc::BinaryHV> feature_hv_array() const override {
-        const int index = calls_.fetch_add(1);
-        for (const int fail : fail_on_) {
-            if (fail == index) throw std::runtime_error("poisoned encode");
-        }
-        return memory_->feature_hvs();
-    }
-    std::span<const hdc::BinaryHV> value_hv_array() const override {
-        return memory_->value_hvs();
-    }
-
-private:
-    std::shared_ptr<const hdc::ItemMemory> memory_;
-    std::vector<int> fail_on_;
-    mutable std::atomic<int> calls_{0};
-};
-
-}  // namespace
-
 TEST(InferenceSession, FusedBatchExceptionIsScopedToTheOffendingRequest) {
     // Regression for the fused-batch failure path: an exception inside a
     // fused micro-batch used to fan out to every request's promise.  Now
@@ -581,27 +540,35 @@ TEST(InferenceSession, FusedBatchExceptionIsScopedToTheOffendingRequest) {
     const auto memory =
         std::make_shared<const hdc::ItemMemory>(hdc::ItemMemory::generate(memory_config));
     const auto clean = std::make_shared<hdc::RecordEncoder>(memory, /*tie_seed=*/99);
-    const auto poison = std::make_shared<PoisonEncoder>(memory, /*tie_seed=*/99);
+    // Encode call sequence: request 0 is served alone (call #0, held until
+    // requests 1-3 are queued), then the fused batch of requests 1-3
+    // encodes rows 1,2 (call #2 throws, row 3 is never reached), then the
+    // per-request retries encode calls #3 (request 1), #4 (request 2,
+    // throws again), #5 (request 3).
+    const auto poison = std::make_shared<fixtures::HeldEncoder>(memory, /*tie_seed=*/99,
+                                                                std::vector<int>{2, 4});
     const auto classifier = hdc::HdcClassifier::fit(data.train, clean, hdc::PipelineConfig{});
 
     api::SessionOptions options;
-    options.n_threads = 1;           // sequential encode: rows 0..n in order
-    options.max_batch = 3;           // pop_batch waits for all three rows...
-    options.max_queue_delay = std::chrono::microseconds(2'000'000);  // ...for up to 2 s
+    options.n_threads = 1;  // sequential encode: rows 0..n in order
+    options.max_batch = 3;  // requests 1-3 are exactly one batch
     const api::InferenceSession session(poison, classifier.discretizer(), classifier.model(),
                                         options);
 
-    // Encode call sequence: fused batch encodes rows 0,1 (call #1 throws,
-    // row 2 is never reached), then the per-request retries encode calls
-    // #2 (request 0), #3 (request 1, throws again), #4 (request 2).
-    poison->arm({1, 3});
+    const auto expected = [&](std::size_t row) {
+        return std::vector<int>{classifier.predict_row(data.test.X.row(row))};
+    };
     auto f0 = session.predict_async(row_request(data.test.X, 0));
+    poison->wait_until_held();
     auto f1 = session.predict_async(row_request(data.test.X, 1));
     auto f2 = session.predict_async(row_request(data.test.X, 2));
+    auto f3 = session.predict_async(row_request(data.test.X, 3));
+    poison->release();
 
-    EXPECT_EQ(f0.get().labels, std::vector<int>{classifier.predict_row(data.test.X.row(0))});
-    EXPECT_THROW(f1.get(), std::runtime_error);
-    EXPECT_EQ(f2.get().labels, std::vector<int>{classifier.predict_row(data.test.X.row(2))});
+    EXPECT_EQ(f0.get().labels, expected(0));
+    EXPECT_EQ(f1.get().labels, expected(1));
+    EXPECT_THROW(f2.get(), std::runtime_error);
+    EXPECT_EQ(f3.get().labels, expected(3));
 }
 
 // ---------------------------------------------------------------------------

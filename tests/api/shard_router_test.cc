@@ -199,6 +199,37 @@ TEST(RouterAdmission, ShedsPastTheWatermarkAndAccountsEveryRequest) {
     }
 }
 
+TEST(RouterAdmission, OversizedRequestIsServedWhenTheFleetIsIdle) {
+    // A request larger than the watermark can never fit under it, so
+    // refusing it on an idle fleet would refuse it on every retry.  The
+    // router admits it when nothing is in flight, as each shard's
+    // SubmitQueue admits an oversized request into an empty queue.
+    const Fixture fixture = make_fixture();
+    const util::Matrix<float>& pool = fixture.data.test.X;
+    const std::vector<int> expected = fixture.owner.open_session().predict(pool);
+
+    api::RouterOptions options;
+    options.n_shards = 2;
+    options.session.max_queue_rows = 32;  // watermark 64 rows
+    const api::ShardRouter router = fixture.owner.open_router(options);
+    ASSERT_EQ(router.shed_watermark_rows(), 64u);
+
+    constexpr std::size_t kRows = 96;
+    for (int attempt = 0; attempt < 3; ++attempt) {
+        ASSERT_EQ(router.inflight_rows(), 0u);
+        api::Request request;
+        request.rows = slice_rows(pool, 0, kRows);
+        const api::Response response = router.submit(std::move(request)).get();
+        ASSERT_EQ(response.status, api::Status::ok) << "attempt " << attempt;
+        ASSERT_EQ(response.labels.size(), kRows);
+        for (std::size_t r = 0; r < kRows; ++r) {
+            EXPECT_EQ(response.labels[r], expected[r % pool.rows()]) << "row " << r;
+        }
+    }
+    EXPECT_EQ(router.stats().shed, 0u);
+    EXPECT_EQ(router.stats().accepted, 3u);
+}
+
 TEST(RouterDeadlines, QueuedRequestBehindASlowBatchExceedsItsDeadline) {
     const Fixture fixture = make_fixture();
     const util::Matrix<float>& pool = fixture.data.test.X;

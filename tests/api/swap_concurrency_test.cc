@@ -22,12 +22,15 @@
 #include <atomic>
 #include <chrono>
 #include <future>
+#include <memory>
 #include <vector>
 
 #include "api/bundle.hpp"
 #include "api/facades.hpp"
 #include "api/shard_router.hpp"
 #include "data/synthetic.hpp"
+#include "hdc/classifier.hpp"
+#include "held_encoder.hpp"
 #include "util/error.hpp"
 #include "util/sync.hpp"
 
@@ -292,43 +295,64 @@ TEST(SubmitQueueShutdown, CloseFailsProducersWithTypedShutdownError) {
 }
 
 TEST(SubmitQueueShutdown, DestroyedSessionFailsQueuedFuturesNotHangs) {
+    // The dispatcher is held inside request 0's encode while kQueued
+    // requests fill the queue behind it; destroying the session then closes
+    // the queue with that work pending, and the dispatcher must fail it,
+    // typed.  The hold ends only once the queue is closed: one more
+    // producer blocks on the full queue, sees the close as ShutdownError
+    // and only then releases the encoder.
     const auto benchmark = swap_benchmark();
-    const api::Owner owner = swap_owner(benchmark);
+    hdc::ItemMemoryConfig memory_config;
+    memory_config.dim = 512;
+    memory_config.n_features = benchmark.train.n_features();
+    memory_config.n_levels = 4;
+    memory_config.seed = 7;
+    const auto memory =
+        std::make_shared<const hdc::ItemMemory>(hdc::ItemMemory::generate(memory_config));
+    const auto classifier = hdc::HdcClassifier::fit(
+        benchmark.train, std::make_shared<hdc::RecordEncoder>(memory, /*tie_seed=*/3),
+        hdc::PipelineConfig{});
+    const auto held = std::make_shared<fixtures::HeldEncoder>(memory, /*tie_seed=*/3);
 
-    // A long coalescing window and a huge batch target keep submitted work
-    // sitting in the queue; destroying the session then closes the queue
-    // with that work still pending — the dispatcher must fail it, typed.
+    constexpr std::size_t kQueued = 8;
+    const std::size_t rows = benchmark.test.X.rows();
     api::SessionOptions options;
     options.n_threads = 1;
     options.max_batch = 1 << 20;
-    options.max_queue_rows = 1 << 20;
-    options.max_queue_delay = std::chrono::microseconds(2'000'000);
-    options.adaptive_queue_delay = false;
+    options.max_queue_rows = kQueued * rows;
+    auto owned = std::make_unique<api::InferenceSession>(held, classifier.discretizer(),
+                                                         classifier.model(), options);
+    const api::InferenceSession& session = *owned;  // the producer never reads `owned`
+    const auto submit = [&] {
+        api::Request request;
+        request.rows = benchmark.test.X;
+        return session.predict_async(std::move(request));
+    };
 
     std::vector<std::future<api::Response>> futures;
-    {
-        const api::InferenceSession session = owner.open_session(options);
-        for (int i = 0; i < 16; ++i) {
-            api::Request request;
-            request.rows = benchmark.test.X;
-            futures.push_back(session.predict_async(std::move(request)));
-        }
-        // Session dies here with (almost certainly) everything still queued.
-    }
-
-    std::size_t shutdown_errors = 0;
-    for (auto& future : futures) {
+    futures.push_back(submit());
+    held->wait_until_held();
+    for (std::size_t i = 0; i < kQueued; ++i) futures.push_back(submit());
+    std::atomic<bool> refused{false};
+    util::Thread producer([&] {
         try {
-            const api::Response response = future.get();  // must not hang
-            EXPECT_TRUE(response.ok());
+            (void)submit();
         } catch (const ShutdownError&) {
-            ++shutdown_errors;
+            refused.store(true);
         }
+        held->release();
+    });
+    // Its rows count as in flight before it blocks on the full queue, so
+    // the session is destroyed only once that producer is inside it.
+    while (session.inflight_rows() < (kQueued + 2) * rows) util::yield_now();
+    owned.reset();
+    producer.join();
+    EXPECT_TRUE(refused.load());
+
+    EXPECT_TRUE(futures.front().get().ok()) << "request 0 was being served";
+    for (std::size_t i = 1; i < futures.size(); ++i) {
+        EXPECT_THROW(futures[i].get(), ShutdownError) << "queued request " << i;
     }
-    // The 2-second coalescing window makes "served before close" a losing
-    // race: at least the tail of the queue must have been failed, and every
-    // future resolved one way or the other (reaching here proves no hang).
-    EXPECT_GT(shutdown_errors, 0u);
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "eval_cli.hpp"
@@ -42,9 +43,41 @@ TEST(CliArgs, ParsesBothFlagForms) {
 
 TEST(CliArgs, TrailingFlagWithoutValueIsUsageError) {
     // The historical bug: `hdlock_cli provision --dir out --features` must
-    // be rejected, not silently parsed past the end of argv.
-    EXPECT_THROW(parse({"--dir", "out", "--features"}), UsageError);
-    EXPECT_THROW(parse({"--features"}), UsageError);
+    // be rejected, not silently parsed past the end of argv.  The parser
+    // holds the valueless flag so check_known can name an unknown one
+    // first; check_known and every accessor reject a known one.
+    const Args args = parse({"--dir", "out", "--features"});
+    try {
+        args.check_known("provision", {"dir", "features"});
+        FAIL() << "expected UsageError";
+    } catch (const UsageError& error) {
+        EXPECT_NE(std::string(error.what()).find("flag needs a value: --features"),
+                  std::string::npos)
+            << error.what();
+    }
+    EXPECT_THROW(args.get_u64("features", 24), UsageError);
+    EXPECT_THROW((void)args.has("features"), UsageError);
+    EXPECT_EQ(args.require("dir"), "out");
+    EXPECT_THROW(parse({"--features"}).require("features"), UsageError);
+}
+
+TEST(CliArgs, UnknownTrailingFlagIsNamedAsUnknownNotAskedForAValue) {
+    // `hdlock_cli eval --list` and `eval --scenario fig5 --smoke`: eval has
+    // none of these flags, and the error must say so instead of asking the
+    // last one for a value.
+    const auto unknown_message = [](std::vector<std::string> argv) {
+        try {
+            parse(std::move(argv))
+                .check_known("eval", {"dir", "data", "side", "threads", "mmap", "shards",
+                                      "placement"});
+        } catch (const UsageError& error) {
+            return std::string(error.what());
+        }
+        return std::string("no UsageError");
+    };
+    EXPECT_EQ(unknown_message({"--list"}), "unknown flag(s) for 'eval': --list");
+    EXPECT_EQ(unknown_message({"--scenario", "fig5", "--smoke"}),
+              "unknown flag(s) for 'eval': --scenario --smoke");
 }
 
 TEST(CliArgs, BareArgumentsAreUsageErrors) {
@@ -115,7 +148,9 @@ TEST(CliArgs, BooleanFlagStillAcceptsEqualsValue) {
 
 TEST(CliArgs, TrailingNonBooleanFlagStillErrorsWithBooleanSetPresent) {
     Argv argv({"--smoke", "--seed"});
-    EXPECT_THROW(Args(argv.argc(), argv.argv(), 0, {"smoke"}), UsageError);
+    const Args args(argv.argc(), argv.argv(), 0, {"smoke"});
+    EXPECT_THROW(args.check_known("test", {"smoke", "seed"}), UsageError);
+    EXPECT_THROW(args.get_u64("seed", 0), UsageError);
 }
 
 TEST(CliArgs, RepeatedFlagsAccumulateAndScalarAccessorsReadTheLast) {

@@ -17,6 +17,10 @@
 ///  - each subcommand declares its known flags via check_known(), so a typo
 ///    like `--featurs` is reported by name instead of being ignored.
 ///
+/// check_known() reports both: an unknown flag first, even when it is the
+/// trailing one (`eval --list` names `--list` as unknown to `eval`), and a
+/// known trailing flag with no value after that.
+///
 /// UsageError is the "exit code 2" class: the caller printed something the
 /// tool cannot interpret, as opposed to a runtime failure (exit 1).
 
@@ -40,10 +44,11 @@ public:
 class Args {
 public:
     /// Parses argv[first..argc). Throws UsageError on a bare non-flag
-    /// argument or a trailing non-boolean flag with no value.  Flags named
-    /// in `boolean_flags` stand alone: `--smoke` parses as the empty value
-    /// and never swallows the following argument; `--flag=value` remains
-    /// available for them.
+    /// argument.  A trailing non-boolean flag with no value is held for
+    /// check_known() and for the accessors, which throw UsageError on it.
+    /// Flags named in `boolean_flags` stand alone: `--smoke` parses as the
+    /// empty value and never swallows the following argument;
+    /// `--flag=value` remains available for them.
     Args(int argc, char** argv, int first,
          std::initializer_list<std::string_view> boolean_flags = {}) {
         for (int i = first; i < argc; ++i) {
@@ -65,13 +70,15 @@ public:
             } else if (i + 1 < argc) {
                 values_[name].push_back(argv[++i]);
             } else {
-                throw UsageError("flag needs a value: " + arg);
+                values_.try_emplace(name);  // listed for check_known, no value
+                valueless_ = name;
             }
         }
     }
 
-    /// Throws UsageError naming every flag not in `known` — call once per
-    /// subcommand with its full flag list.
+    /// Throws UsageError naming every flag not in `known`, then, if all are
+    /// known, a trailing flag that has no value — call once per subcommand
+    /// with its full flag list.
     void check_known(std::string_view subcommand,
                      std::initializer_list<std::string_view> known) const {
         std::vector<std::string> unknown;
@@ -85,27 +92,28 @@ public:
             for (const auto& flag : unknown) message += " " + flag;
             throw UsageError(message);
         }
+        if (!valueless_.empty()) throw_valueless_();
     }
 
     std::string require(const std::string& name) const {
-        const auto found = values_.find(name);
+        const auto found = find_(name);
         if (found == values_.end()) throw UsageError("missing required flag --" + name);
         return found->second.back();
     }
 
     std::string get(const std::string& name, const std::string& fallback) const {
-        const auto found = values_.find(name);
+        const auto found = find_(name);
         return found == values_.end() ? fallback : found->second.back();
     }
 
     /// Every occurrence of a repeated flag, in command-line order.
     std::vector<std::string> get_all(const std::string& name) const {
-        const auto found = values_.find(name);
+        const auto found = find_(name);
         return found == values_.end() ? std::vector<std::string>{} : found->second;
     }
 
     std::uint64_t get_u64(const std::string& name, std::uint64_t fallback) const {
-        const auto found = values_.find(name);
+        const auto found = find_(name);
         if (found == values_.end()) return fallback;
         const std::string& raw = found->second.back();
         // Digits only: std::stoull would happily wrap "-1" to 2^64 - 1.
@@ -120,10 +128,26 @@ public:
         }
     }
 
-    bool has(const std::string& name) const { return values_.contains(name); }
+    bool has(const std::string& name) const { return find_(name) != values_.end(); }
 
 private:
-    std::map<std::string, std::vector<std::string>> values_;
+    using Values = std::map<std::string, std::vector<std::string>>;
+
+    /// Every accessor looks up through here, so reading a flag that was
+    /// left without a value throws instead of falling back.
+    Values::const_iterator find_(const std::string& name) const {
+        if (!valueless_.empty() && name == valueless_) throw_valueless_();
+        return values_.find(name);
+    }
+
+    [[noreturn]] void throw_valueless_() const {
+        throw UsageError("flag needs a value: --" + valueless_);
+    }
+
+    Values values_;
+    /// A trailing non-boolean flag with no argument left to take; empty
+    /// when there is none.
+    std::string valueless_;
 };
 
 }  // namespace hdlock::cli
