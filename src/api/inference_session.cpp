@@ -348,9 +348,9 @@ InferenceSession::InferenceSession(InferenceSession&& other) noexcept
       max_batch_(other.max_batch_),
       max_queue_rows_(other.max_queue_rows_),
       serving_(other.serving_state()),
-      runtime_(std::move(other.runtime_)),
       rows_served_(other.rows_served_.load()),
-      inflight_rows_(other.inflight_rows_.load()) {
+      inflight_rows_(other.inflight_rows_.load()),
+      runtime_(std::move(other.runtime_)) {
     // Re-point a (contract-violating but easy to be robust about) live
     // dispatcher at the new address; legal moves happen before serving.
     if (runtime_ != nullptr) {

@@ -355,11 +355,14 @@ private:
     /// copy the pointer once per predict call; installs swap it.
     mutable util::Mutex serving_mutex_;
     mutable std::shared_ptr<const ServingState> serving_ HDLOCK_GUARDED_BY(serving_mutex_);
+    /// Declared above runtime_, so they outlive it: ~Runtime joins the
+    /// dispatcher, which still counts the batch it is serving and releases
+    /// the rows of shutdown leftovers.
+    mutable std::atomic<std::uint64_t> rows_served_{0};
+    mutable std::atomic<std::int64_t> inflight_rows_{0};
     /// Pool, slot-pinned worker scratch, leased caller scratch and the lazy
     /// async core live behind one stable pointer so moves stay cheap.
     mutable std::unique_ptr<Runtime> runtime_;
-    mutable std::atomic<std::uint64_t> rows_served_{0};
-    mutable std::atomic<std::int64_t> inflight_rows_{0};
 };
 
 }  // namespace hdlock::api

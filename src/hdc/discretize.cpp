@@ -1,7 +1,6 @@
 #include "hdc/discretize.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 namespace hdlock::hdc {
 
@@ -50,28 +49,60 @@ MinMaxDiscretizer MinMaxDiscretizer::with_range(float min_value, float max_value
     return d;
 }
 
+namespace {
+
+/// The level of `value` in [lo, hi] split into n_levels equal bins:
+/// int(clamp(scaled, 0, top)) for scaled = (value - lo) / (hi - lo) *
+/// n_levels, in doubles.  That equals clamp(floor(scaled), 0, top) on
+/// every non-NaN scaled (below 0 both give 0, above top both give top, and
+/// in between truncation is floor), and clamping before the conversion
+/// keeps every float-to-int cast defined.  Non-finite inputs reach this
+/// path in practice (std::from_chars parses "nan"/"inf" from CSV fields):
+/// a NaN fails the first compare and maps to level 0, whether it is the
+/// value or comes from a range fitted on infinities; +/-inf clamp to the
+/// boundary levels.  A degenerate range (!(hi > lo)) maps to level 0.
+/// Branch-free, so transform_row's loop vectorizes.
+inline int level_in_range(float value, float lo, float hi, double n_levels, double top) noexcept {
+    const double scaled =
+        (static_cast<double>(value) - lo) / (static_cast<double>(hi) - lo) * n_levels;
+    const double floored_at_zero = scaled > 0.0 ? scaled : 0.0;
+    const double clamped = floored_at_zero < top ? floored_at_zero : top;
+    return hi > lo ? static_cast<int>(clamped) : 0;
+}
+
+}  // namespace
+
 int MinMaxDiscretizer::level_of(float value, std::size_t feature) const {
     HDLOCK_EXPECTS(!mins_.empty(), "MinMaxDiscretizer: not fitted");
     const std::size_t slot = mode_ == DiscretizerMode::global ? 0 : feature;
     HDLOCK_EXPECTS(slot < mins_.size(), "MinMaxDiscretizer: feature out of range");
-    const float lo = mins_[slot];
-    const float hi = maxs_[slot];
-    if (!(hi > lo)) return 0;
-    // Non-finite inputs reach this path in practice (std::from_chars parses
-    // "nan"/"inf" from CSV fields); a float-to-int cast of the resulting
-    // NaN/out-of-range value is undefined behavior, so clamp in the double
-    // domain first: NaN maps to level 0, +/-inf clamp to the boundary levels.
-    if (std::isnan(value)) return 0;
-    const double scaled = (static_cast<double>(value) - lo) / (static_cast<double>(hi) - lo) *
-                          static_cast<double>(n_levels_);
-    if (std::isnan(scaled)) return 0;  // e.g. a range fitted on infinities
-    const double top = static_cast<double>(n_levels_ - 1);
-    return static_cast<int>(std::clamp(std::floor(scaled), 0.0, top));
+    return level_in_range(value, mins_[slot], maxs_[slot], static_cast<double>(n_levels_),
+                          static_cast<double>(n_levels_ - 1));
 }
 
 void MinMaxDiscretizer::transform_row(std::span<const float> row, std::span<int> levels) const {
     HDLOCK_EXPECTS(row.size() == levels.size(), "MinMaxDiscretizer: size mismatch");
-    for (std::size_t i = 0; i < row.size(); ++i) levels[i] = level_of(row[i], i);
+    const std::size_t n = row.size();
+    if (n == 0) return;
+    HDLOCK_EXPECTS(!mins_.empty(), "MinMaxDiscretizer: not fitted");
+    const float* values = row.data();
+    int* out = levels.data();
+    const auto n_levels = static_cast<double>(n_levels_);
+    const auto top = static_cast<double>(n_levels_ - 1);
+    if (mode_ == DiscretizerMode::global) {
+        const float lo = mins_[0];
+        const float hi = maxs_[0];
+        for (std::size_t i = 0; i < n; ++i) {
+            out[i] = level_in_range(values[i], lo, hi, n_levels, top);
+        }
+    } else {
+        HDLOCK_EXPECTS(n <= mins_.size(), "MinMaxDiscretizer: feature out of range");
+        const float* los = mins_.data();
+        const float* his = maxs_.data();
+        for (std::size_t i = 0; i < n; ++i) {
+            out[i] = level_in_range(values[i], los[i], his[i], n_levels, top);
+        }
+    }
 }
 
 std::vector<int> MinMaxDiscretizer::transform_row(std::span<const float> row) const {

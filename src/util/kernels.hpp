@@ -221,10 +221,11 @@ private:
 
 namespace detail {
 
-/// Scalar word-range loops shared by the vector backends' tail handling.
-/// Non-inline on purpose (compiled once, in kernels.cpp, at the baseline
-/// ISA) so the -m flagged translation units can call them without the ODR
-/// hazard of instantiating common code under a higher ISA.
+/// Scalar word-range loops: the portable kernels, and the tail words of the
+/// AVX2 and NEON backends (AVX-512 runs its tail as one masked vector
+/// block).  Non-inline on purpose (compiled once, in kernels.cpp, at the
+/// baseline ISA) so the -m flagged translation units can call them without
+/// the ODR hazard of instantiating common code under a higher ISA.
 
 /// column_counts over words [word_begin, word_count(n_bits)).
 void column_counts_words(const Word* const* rows_a, const Word* const* rows_b,

@@ -23,8 +23,10 @@
 #include <cstdint>
 #include <iterator>
 #include <limits>
+#include <span>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "util/bitslice.hpp"
@@ -242,22 +244,58 @@ void count_plain(const KernelBackend& backend, const RowTable& rows, std::size_t
     count_columns(backend, rows, RowTable(rows.size(), zero.data()), per_call, n_bits, counts);
 }
 
+/// Rows laid out in one table whose stride is longer than a row: every
+/// row, the last one included, is followed by kGapWords non-zero random
+/// words.  A kernel that reads past a row's end (a wrong tail mask) then
+/// changes its result, while the read stays inside the table, where ASan
+/// would not see it.  kGapWords covers the longest overread of one
+/// AVX-512 block.
+struct StridedRows {
+    static constexpr std::size_t kGapWords = 8;
+    std::size_t n_words;
+    std::size_t stride;
+    std::vector<Word> table;
+
+    /// n_rows random rows of n_bits bits.  A clean row has its bits past
+    /// n_bits clear (the fused kernel's contract); a dirty one sets bit 63
+    /// of a partial last word plus random others past n_bits, which
+    /// column_counts must not count.
+    StridedRows(std::size_t n_rows, std::size_t n_bits, Xoshiro256ss& rng, bool dirty_tails = false)
+        : n_words(bits::word_count(n_bits)), stride(n_words + kGapWords), table(n_rows * stride) {
+        const Word unused = ~bits::tail_mask(n_bits);
+        for (std::size_t r = 0; r < n_rows; ++r) {
+            const std::span<Word> words = std::span<Word>(table).subspan(r * stride, n_words);
+            bits::fill_random(words, n_bits, rng);
+            if (dirty_tails && unused != 0) words.back() |= unused & (rng() | Word{1} << 63);
+            for (std::size_t g = n_words; g < stride; ++g) table[r * stride + g] = rng() | 1u;
+        }
+    }
+
+    std::size_t size() const { return table.size() / stride; }
+    std::span<const Word> row(std::size_t r) const { return {table.data() + r * stride, n_words}; }
+    RowTable pointers() const {
+        RowTable out;
+        for (std::size_t r = 0; r < size(); ++r) out.push_back(row(r).data());
+        return out;
+    }
+};
+
 /// A table of n_rows row pairs drawn from at most kPoolRows distinct random
 /// pairs (row r uses pair r % kPoolRows): every table up to kPoolRows rows
 /// is all-distinct, and larger ones, past kMaxFusedRows, stay cheap to check
 /// because the naive counts are taken once per pair and scaled by how often
-/// the table repeats it.
+/// the table repeats it.  The pairs have dirty tails.
 struct PooledRows {
     static constexpr std::size_t kPoolRows = 256;
-    Rows pool_a, pool_b;
+    StridedRows pool_a, pool_b;
     RowTable rows_a, rows_b;
 
     PooledRows(std::size_t n_rows, std::size_t n_bits, Xoshiro256ss& rng)
-        : pool_a(random_rows(std::min(n_rows, kPoolRows), n_bits, rng)),
-          pool_b(random_rows(pool_a.size(), n_bits, rng)) {
+        : pool_a(std::min(n_rows, kPoolRows), n_bits, rng, true),
+          pool_b(pool_a.size(), n_bits, rng, true) {
         for (std::size_t r = 0; r < n_rows; ++r) {
-            rows_a.push_back(pool_a[r % kPoolRows].data());
-            rows_b.push_back(pool_b[r % kPoolRows].data());
+            rows_a.push_back(pool_a.row(r % kPoolRows).data());
+            rows_b.push_back(pool_b.row(r % kPoolRows).data());
         }
     }
 
@@ -266,7 +304,7 @@ struct PooledRows {
         std::vector<std::int32_t> counts(n_bits, 0);
         std::vector<Word> product(bits::word_count(n_bits));
         for (std::size_t i = 0; i < pool_a.size(); ++i) {
-            bits::xor_into(product, pool_a[i], pool_b[i]);
+            bits::xor_into(product, pool_a.row(i), pool_b.row(i));
             std::vector<std::int32_t> once(n_bits, 0);
             hdlock::util::naive_accumulate(product, n_bits, once);
             const auto repeats =
@@ -276,6 +314,13 @@ struct PooledRows {
         return counts;
     }
 };
+
+/// Count-buffer guard: column_counts gets kGuardColumns sentinel entries
+/// after n_bits, which it must leave alone.  That is a whole AVX-512 block,
+/// the furthest a wrong store mask could write; ASan does not instrument
+/// masked stores.
+constexpr std::size_t kGuardColumns = 512;
+constexpr std::int32_t kSentinel = -0x5A5A5A5B;
 
 const std::size_t kDims[] = {1, 63, 64, 65, 513, 10000};
 
@@ -296,9 +341,15 @@ TEST_P(ColumnCounterTest, MatchesNaiveAccumulation) {
     const std::size_t per_call = (std::size_t{1} << n_planes) - 1;
     const auto expected = rows.expected(n_bits);
     for (const KernelBackend* backend : all_available()) {
-        std::vector<std::int32_t> counts(n_bits, 0);
+        std::vector<std::int32_t> counts(n_bits + kGuardColumns, kSentinel);
+        std::fill_n(counts.begin(), n_bits, 0);
         count_columns(*backend, rows.rows_a, rows.rows_b, per_call, n_bits, counts);
-        EXPECT_EQ(counts, expected) << backend->name;
+        const auto columns_end = counts.begin() + static_cast<std::ptrdiff_t>(n_bits);
+        EXPECT_TRUE(std::equal(counts.begin(), columns_end, expected.begin(), expected.end()))
+            << backend->name;
+        EXPECT_TRUE(std::all_of(columns_end, counts.end(),
+                                [](std::int32_t guard) { return guard == kSentinel; }))
+            << backend->name << " wrote past column " << n_bits;
     }
 }
 
@@ -311,6 +362,16 @@ INSTANTIATE_TEST_SUITE_P(
                        // call size:
                        ::testing::Values<std::size_t>(0, 1, 2, 7, 8, 9, 15, 16, 17, 62, 63, 64,
                                                       127, 200)));
+
+// Every length of the AVX-512 last block past a full one: 9–15 words, each
+// with a full and with a partial last word (Sweep's D = 1000 is 16 words
+// with a partial last word).
+INSTANTIATE_TEST_SUITE_P(
+    Tails, ColumnCounterTest,
+    ::testing::Combine(::testing::Values<std::size_t>(576, 555, 640, 619, 704, 683, 768, 747, 832,
+                                                      811, 896, 875, 960, 939),
+                       ::testing::Values<std::size_t>(4, 8),
+                       ::testing::Values<std::size_t>(1, 8, 17, 200)));
 
 // The encoder's split: calls of kMaxFusedRows rows (16 planes), at
 // dimensions with and without tail words, row counts around the 8-row
@@ -472,24 +533,33 @@ Word rng_ties(void* ctx, Word eq_mask, std::size_t /*word_index*/) noexcept {
     return negatives;
 }
 
+/// The resolver calls of one kernel run, in call order.
+using TieLog = std::vector<std::pair<std::size_t, Word>>;
+
+/// pattern_ties that also logs each call's (word index, eq mask) into the
+/// TieLog at `ctx`: two runs with equal logs made the same calls in the
+/// same order.
+Word logged_ties(void* ctx, Word eq_mask, std::size_t word_index) noexcept {
+    static_cast<TieLog*>(ctx)->emplace_back(word_index, eq_mask);
+    return pattern_ties(nullptr, eq_mask, word_index);
+}
+
 /// Independent scalar re-implementation of the fused contract: majority of
 /// the per-column counts of the bound rows rows_a ^ rows_b (ties at exactly
-/// n/2 for even n resolved by `ties`), then per-class Hamming against the
-/// implied query.
-std::vector<std::uint64_t> fused_reference(const std::vector<std::vector<Word>>& rows_a,
-                                           const std::vector<std::vector<Word>>& rows_b,
-                                           const std::vector<std::vector<Word>>& classes,
-                                           std::size_t n_words, kernels::TieResolver ties,
+/// n/2 for even n resolved by `ties`, once per word with ties, in ascending
+/// word order), then per-class Hamming against the implied query.
+std::vector<std::uint64_t> fused_reference(const StridedRows& rows_a, const StridedRows& rows_b,
+                                           const StridedRows& classes, kernels::TieResolver ties,
                                            void* tie_ctx) {
     const std::size_t n = rows_a.size();
     std::vector<std::uint64_t> distances(classes.size(), 0);
-    for (std::size_t w = 0; w < n_words; ++w) {
+    for (std::size_t w = 0; w < rows_a.n_words; ++w) {
         Word query = 0;
         Word eq = 0;
         for (std::size_t bit = 0; bit < 64; ++bit) {
             std::size_t count = 0;
             for (std::size_t r = 0; r < n; ++r) {
-                count += ((rows_a[r][w] ^ rows_b[r][w]) >> bit) & 1u;
+                count += ((rows_a.row(r)[w] ^ rows_b.row(r)[w]) >> bit) & 1u;
             }
             if (count > n / 2) {
                 query |= Word{1} << bit;
@@ -499,7 +569,7 @@ std::vector<std::uint64_t> fused_reference(const std::vector<std::vector<Word>>&
         }
         if (eq != 0 && ties != nullptr) query |= ties(tie_ctx, eq, w) & eq;
         for (std::size_t c = 0; c < classes.size(); ++c) {
-            distances[c] += static_cast<std::uint64_t>(std::popcount(query ^ classes[c][w]));
+            distances[c] += static_cast<std::uint64_t>(std::popcount(query ^ classes.row(c)[w]));
         }
     }
     return distances;
@@ -507,48 +577,46 @@ std::vector<std::uint64_t> fused_reference(const std::vector<std::vector<Word>>&
 
 }  // namespace
 
-// The fused encode→distance kernel vs the scalar reference and across
-// backends: row counts spanning the 8-row groups and every leftover shape,
-// word counts spanning vector-width tails, with and without a tie resolver.
+// The fused encode→distance kernel vs the scalar reference on every
+// backend: row counts spanning the 8-row groups and every leftover shape;
+// 1–17 words, so every length of the AVX-512 last block (1–7 words past a
+// multiple of 8, or none), each with a full and with a partial, clean-tailed
+// last word; rows and class rows in strided tables whose gap words are
+// non-zero.  With a resolver, every backend must make exactly the
+// reference's calls: same word indices and eq masks, ascending, at most
+// one per word.
 TEST(Kernels, FusedHammingScoresMatchesReferenceAcrossBackends) {
     Xoshiro256ss rng(83);
-    const KernelBackend& portable = kernels::portable_backend();
     const std::size_t n_classes = 3;
     for (const std::size_t n_rows : {std::size_t{1}, std::size_t{2}, std::size_t{3},
                                      std::size_t{7}, std::size_t{8}, std::size_t{9},
                                      std::size_t{16}, std::size_t{17}, std::size_t{33}}) {
-        for (const std::size_t n_words : {std::size_t{1}, std::size_t{2}, std::size_t{5},
-                                          std::size_t{8}, std::size_t{9}, std::size_t{13}}) {
-            std::vector<std::vector<Word>> rows_a, rows_b, classes;
-            std::vector<const Word*> ptrs_a, ptrs_b, class_ptrs;
-            for (std::size_t r = 0; r < n_rows; ++r) {
-                rows_a.push_back(random_words(n_words, rng));
-                rows_b.push_back(random_words(n_words, rng));
-                ptrs_a.push_back(rows_a.back().data());
-                ptrs_b.push_back(rows_b.back().data());
-            }
-            for (std::size_t c = 0; c < n_classes; ++c) {
-                classes.push_back(random_words(n_words, rng));
-                class_ptrs.push_back(classes.back().data());
-            }
-
-            for (const bool with_ties : {true, false}) {
-                const kernels::TieResolver ties = with_ties ? &pattern_ties : nullptr;
-                const auto expected =
-                    fused_reference(rows_a, rows_b, classes, n_words, ties, nullptr);
-                std::vector<std::uint64_t> actual(n_classes, ~std::uint64_t{0});
-                portable.fused_hamming_scores(ptrs_a.data(), ptrs_b.data(), n_rows,
-                                              class_ptrs.data(), n_classes, n_words, ties,
-                                              nullptr, actual.data());
-                EXPECT_EQ(actual, expected) << "portable rows=" << n_rows << " words=" << n_words
-                                            << " ties=" << with_ties;
-                for (const KernelBackend* backend : simd_backends()) {
-                    std::vector<std::uint64_t> simd(n_classes, ~std::uint64_t{0});
-                    backend->fused_hamming_scores(ptrs_a.data(), ptrs_b.data(), n_rows,
-                                                  class_ptrs.data(), n_classes, n_words, ties,
-                                                  nullptr, simd.data());
-                    EXPECT_EQ(simd, expected) << backend->name << " rows=" << n_rows
-                                              << " words=" << n_words << " ties=" << with_ties;
+        for (std::size_t n_words = 1; n_words <= 17; ++n_words) {
+            for (const std::size_t unused_bits : {std::size_t{0}, std::size_t{37}}) {
+                const std::size_t n_bits = n_words * 64 - unused_bits;
+                const StridedRows rows_a(n_rows, n_bits, rng);
+                const StridedRows rows_b(n_rows, n_bits, rng);
+                const StridedRows classes(n_classes, n_bits, rng);
+                const RowTable ptrs_a = rows_a.pointers();
+                const RowTable ptrs_b = rows_b.pointers();
+                const RowTable class_ptrs = classes.pointers();
+                for (const bool with_ties : {true, false}) {
+                    const kernels::TieResolver ties = with_ties ? &logged_ties : nullptr;
+                    TieLog expected_calls;
+                    const auto expected =
+                        fused_reference(rows_a, rows_b, classes, ties, &expected_calls);
+                    for (const KernelBackend* backend : all_available()) {
+                        TieLog calls;
+                        std::vector<std::uint64_t> actual(n_classes, ~std::uint64_t{0});
+                        backend->fused_hamming_scores(ptrs_a.data(), ptrs_b.data(), n_rows,
+                                                      class_ptrs.data(), n_classes, n_words, ties,
+                                                      &calls, actual.data());
+                        EXPECT_EQ(actual, expected)
+                            << backend->name << " rows=" << n_rows << " bits=" << n_bits
+                            << " ties=" << with_ties;
+                        EXPECT_EQ(calls, expected_calls)
+                            << backend->name << " rows=" << n_rows << " bits=" << n_bits;
+                    }
                 }
             }
         }

@@ -6,8 +6,10 @@
 
 #include <algorithm>
 #include <array>
+#include <climits>
 #include <cstring>
 #include <numeric>
+#include <span>
 #include <vector>
 
 using hdlock::util::fnv1a;
@@ -138,6 +140,65 @@ TEST(Fnv1a, SensitiveToEveryByte) {
         auto mutated = buf;
         mutated[i] ^= 1;
         EXPECT_NE(base, fnv1a(std::as_bytes(std::span<const std::uint8_t>(mutated))));
+    }
+}
+
+namespace {
+
+/// FNV-1a one byte at a time, as published: the reference for fnv1a's
+/// four-byte groups.
+std::uint64_t fnv1a_bytewise(std::span<const std::byte> bytes) {
+    std::uint64_t hash = 0xcbf29ce484222325ULL;
+    for (const std::byte b : bytes) {
+        hash ^= static_cast<std::uint64_t>(b);
+        hash *= 0x100000001b3ULL;
+    }
+    return hash;
+}
+
+}  // namespace
+
+TEST(Fnv1a, MatchesByteAtATimeOnEveryLength) {
+    // Lengths 0-67 cover every group count and every 0-3 byte remainder.
+    // Per length: random bytes, groups b0 0 0 0 throughout (a level row),
+    // and a mix where each group is either that shape or has one non-zero
+    // high byte.
+    Xoshiro256ss rng(68);
+    for (std::size_t n = 0; n <= 67; ++n) {
+        std::vector<std::byte> random(n), levels(n, std::byte{0}), mixed(n, std::byte{0});
+        for (std::size_t i = 0; i < n; ++i) {
+            random[i] = static_cast<std::byte>(rng());
+            if (i % 4 == 0) levels[i] = mixed[i] = static_cast<std::byte>(rng());
+        }
+        for (std::size_t group = 0; group * 4 + 3 < n; ++group) {
+            if (rng.next_below(2) == 0) {
+                mixed[group * 4 + 1 + rng.next_below(3)] = static_cast<std::byte>(1 + rng.next_below(255));
+            }
+        }
+        for (const auto* bytes : {&random, &levels, &mixed}) {
+            EXPECT_EQ(fnv1a(*bytes), fnv1a_bytewise(*bytes)) << "length " << n;
+        }
+    }
+}
+
+TEST(Fnv1a, Int32GroupsWithNonZeroHighBytesMatchByteAtATime) {
+    // Negative ints and values >= 256 leave the zero-high-bytes shape.
+    const std::vector<int> values = {0,       1,       255,     256,     257,       65535,
+                                     65536,   1 << 24, -1,      -2,      -256,      INT_MIN,
+                                     INT_MAX, 7,       0x0100,  0x10000, 0x1000000, 15};
+    for (std::size_t n = 0; n <= values.size(); ++n) {
+        const std::span<const int> prefix(values.data(), n);
+        EXPECT_EQ(hdlock::util::fnv1a_of(prefix), fnv1a_bytewise(std::as_bytes(prefix)))
+            << "prefix " << n;
+    }
+    Xoshiro256ss rng(256);
+    for (int trial = 0; trial < 200; ++trial) {
+        std::vector<int> row(1 + rng.next_below(64));
+        for (int& v : row) {
+            v = rng.next_below(4) == 0 ? static_cast<int>(rng()) : static_cast<int>(rng.next_below(16));
+        }
+        const std::span<const int> span(row);
+        EXPECT_EQ(hdlock::util::fnv1a_of(span), fnv1a_bytewise(std::as_bytes(span)));
     }
 }
 
